@@ -8,6 +8,8 @@ Todd-series decomposition of cohomology classes into face classes.  All
 arithmetic is exact over the integers, rationals, and roots of unity.
 """
 
+import types as _types
+
 from .catalog import (
     cross_fan,
     hirzebruch_fan,
@@ -25,6 +27,7 @@ from .cyclotomic import (
 )
 from .errors import (
     ConductorMismatch,
+    CrossCheckFailed,
     DependentRays,
     DivisionByZero,
     EmptyFan,
@@ -120,6 +123,9 @@ from .todd import (
     wedge_pair,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ from functools import lru_cache
 
 from .errors import (
     ConductorMismatch,
+    CrossCheckFailed,
     DivisionByZero,
     NotRational,
     SeriesWindowError,
@@ -57,7 +58,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     for d in range(1, n):
         if n % d == 0:
             f, rem = _poly_divmod_int(f, list(cyclotomic_polynomial(d)))
-            assert not any(rem)
+            if any(rem):
+                raise CrossCheckFailed(f"Phi_{d} does not divide x^{n} - 1")
     return tuple(f)
 
 
@@ -227,7 +229,8 @@ class CyclotomicNumber:
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
         g, s, _ = _poly_xgcd_frac(list(self.coeffs), phi)
         # Phi_N is irreducible, so the gcd is a nonzero scalar
-        assert len(g) == 1 and g[0] != 0
+        if len(g) != 1 or g[0] == 0:
+            raise CrossCheckFailed(f"gcd with Phi_{self.conductor} is not a unit")
         inv = [c / g[0] for c in s]
         return CyclotomicNumber(self.conductor, inv)
 

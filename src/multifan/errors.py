@@ -73,5 +73,10 @@ class NotTCartier(MultiFanError):
     """Support class restricts to a non-integral vertex on some cone."""
 
 
+class CrossCheckFailed(MultiFanError):
+    """Two independent routes to the same number disagree, or an exact
+    invariant of a computation fails."""
+
+
 class FanDocumentError(MultiFanError):
     """Fan document cannot be parsed; message carries the location."""

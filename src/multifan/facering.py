@@ -5,7 +5,9 @@ ray, modulo the relations x_S = 0 whenever the index set S is not a
 face.  Restriction to a top cone I sends x_i to the dual covector
 u_i^I for i in I and to zero otherwise; the push-forward to a point is
 computed by the fixed-point sum after substituting u -> t<u, v> for a
-generic vector v.
+generic vector v.  The sums over pairs (I, h) of a top cone and an
+element of its group behind the Todd genus, the lattice point counts and
+the face weights share one kernel, `fixed_point_series`.
 """
 
 from __future__ import annotations
@@ -14,9 +16,15 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, prod
 
-from .cyclotomic import LaurentSeries, exp_series
-from .errors import NonGenericVector, PoleResidueNonzero, RankMismatch
+from .cyclotomic import LaurentSeries, exp_series, root_of_unity, todd_factor_series
+from .errors import (
+    CrossCheckFailed,
+    NonGenericVector,
+    PoleResidueNonzero,
+    RankMismatch,
+)
 from .fans import MultiFan, sample_generic_vector
 from .lattices import QVec, dot, rref
 
@@ -223,6 +231,43 @@ def restrict_eval(fan: MultiFan, cls: EquivariantClass, I, v) -> list[Fraction]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# the fixed-point kernel: sums over top cones I and elements h of H_I
+
+
+def generic_pairings(duals, v) -> list[Fraction]:
+    """The pairings <u_i, v>; raises NonGenericVector when one is zero."""
+    pairings = [dot(u, v) for u in duals]
+    if any(p == 0 for p in pairings):
+        raise NonGenericVector(f"{v} pairs to zero with a covector of the cone")
+    return pairings
+
+
+def fixed_point_series(
+    pairings, group, twisted, terms: int, a=0, phase=None
+) -> LaurentSeries:
+    """Sum over the elements h of a cone group of
+
+        e^(2 pi i <phase, h>) exp(a t)
+            prod_{pos in twisted} 1/(1 - chi_pos(h) e^(-c_pos t))
+
+    with c_pos = pairings[pos] and the characters chi_pos(h) = e^(2 pi i h_pos)
+    read off the coordinates of h; callers scale the sum by w(I)/|H_I|.
+    """
+    total = None
+    for _, coords in group:
+        term = exp_series(a, terms)
+        for pos in twisted:
+            chi = root_of_unity(coords[pos])
+            term = term * todd_factor_series(pairings[pos], chi, terms)
+        if phase is not None:
+            e = Fraction(sum(x * c for x, c in zip(phase, coords)))
+            if e.denominator != 1:  # skip the phase 1: scaling costs a product per term
+                term = term.scale(root_of_unity(e))
+        total = term if total is None else total + term
+    return total
+
+
 def pushforward_eval(
     fan: MultiFan,
     cls: EquivariantClass,
@@ -235,32 +280,48 @@ def pushforward_eval(
     Returns the Laurent expansion in t on the window [-rank, high].
     The vector v must be generic; each fixed-point term contributes
 
-        w(I)/|H_I| * exp(t<u_I, v>) * cls|_I(tv) / (t^n * prod <u_i^I, v>).
+        w(I)/|H_I| * exp(t<u_I, v>) * cls|_I(tv) / (t^n * prod <u_i^I, v>),
+
+    whose coefficient of t^m is the rational number, with a = <u_I, v>,
+    w(I)/|H_I| / prod <u_i^I, v> * sum_k cls|_I(v)_k a^(m+n-k)/(m+n-k)!.
     """
     n = fan.rank
     terms = high + n + 1
-    total = LaurentSeries(-n, [Fraction(0)] * (high + n + 1))
+    coeffs = [Fraction(0)] * terms
     for I, w in zip(fan.cones, fan.weights):
-        duals = fan.dual_basis_of(I)
-        pairings = [dot(u, v) for u in duals]
-        if any(p == 0 for p in pairings):
-            raise NonGenericVector(f"{v} lies on the span of a facet of {I}")
-        denom = Fraction(w, fan.group_of(I).order)
-        for p in pairings:
-            denom /= p
-        if support is not None:
-            a = dot(support.restrict(fan, I), v)
-        else:
-            a = Fraction(0)
-        expf = exp_series(a, terms)
+        pairings = generic_pairings(fan.dual_basis_of(I), v)
+        scale = Fraction(w, fan.group_of(I).order) / prod(pairings)
+        a = dot(support.restrict(fan, I), v) if support is not None else Fraction(0)
+        expf = [a ** m / factorial(m) for m in range(terms)]
         poly = restrict_eval(fan, cls, I, v)
-        padded = LaurentSeries(
-            0, [poly[k] if k < len(poly) else Fraction(0) for k in range(terms)]
-        )
-        prod = expf * padded
-        shifted = LaurentSeries(prod.low - n, prod.coeffs)
-        total = total + shifted.scale(denom)
-    return total
+        for j in range(terms):
+            part = sum(poly[k] * expf[j - k] for k in range(min(j + 1, len(poly))))
+            coeffs[j] += scale * part
+    return LaurentSeries(-n, coeffs)
+
+
+def sampled_constant_term(fan: MultiFan, series_along, rng: random.Random) -> Fraction:
+    """Constant term of series_along(v) along two sampled generic vectors.
+
+    The two vectors are distinct; along each, every negative power of t
+    down to t^-rank must vanish, and the two constants must agree.
+    """
+    v1 = sample_generic_vector(fan, rng)
+    v2 = sample_generic_vector(fan, rng)
+    while v2 == v1:
+        v2 = sample_generic_vector(fan, rng)
+    values = []
+    for v in (v1, v2):
+        series = series_along(v)
+        for k in range(-fan.rank, 0):
+            if series.coefficient(k) != 0:
+                raise PoleResidueNonzero(
+                    f"negative power t^{k} survives along {v}"
+                )
+        values.append(series.rational_coefficient(0))
+    if values[0] != values[1]:
+        raise CrossCheckFailed(f"constant terms {values} along {v1} and {v2} differ")
+    return values[0]
 
 
 def p_star(
@@ -275,22 +336,11 @@ def p_star(
     values must agree, and all negative powers of t must vanish (they
     do exactly when the multi-fan is complete).
     """
-    rng = rng or random.Random(0xF1E1D)
-    v1 = sample_generic_vector(fan, rng)
-    v2 = sample_generic_vector(fan, rng)
-    while v2 == v1:
-        v2 = sample_generic_vector(fan, rng)
-    values = []
-    for v in (v1, v2):
-        series = pushforward_eval(fan, cls, v, support=support, high=0)
-        for k in range(-fan.rank, 0):
-            if series.coefficient(k) != 0:
-                raise PoleResidueNonzero(
-                    f"negative power t^{k} survives along {v}"
-                )
-        values.append(series.rational_coefficient(0))
-    assert values[0] == values[1], (values, v1, v2)
-    return values[0]
+    return sampled_constant_term(
+        fan,
+        lambda v: pushforward_eval(fan, cls, v, support=support, high=0),
+        rng or random.Random(0xF1E1D),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +422,6 @@ class CohomologyQuotient:
             if vec[p]:
                 f = vec[p] / row[p]
                 vec = [a - f * b for a, b in zip(vec, row)]
-        for p in self.pivots:
-            assert vec[p] == 0
+        if any(vec[p] for p in self.pivots):
+            raise CrossCheckFailed("reduction left a nonzero pivot coordinate")
         return tuple(vec[i] for i in self.free)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    CrossCheckFailed,
     DependentRays,
     EmptyFan,
     FaceNotInFan,
@@ -368,7 +369,8 @@ def chamber_vectors(fan: MultiFan) -> list[Vec]:
                 out.append(scale_to_integer((Fraction(s), y, z)))
     # the arrangement contains every facet span, so samples are generic
     for v in out:
-        assert is_generic(fan, v), v
+        if not is_generic(fan, v):
+            raise CrossCheckFailed(f"chamber vector {v} is not generic")
     return out
 
 

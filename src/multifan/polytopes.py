@@ -20,22 +20,24 @@ import math
 import random
 from fractions import Fraction
 
-from .cyclotomic import (
-    CyclotomicNumber,
-    LaurentSeries,
-    exp_series,
-    root_of_unity,
-    todd_factor_series,
-)
+# todd_factor_series stays importable: perfbench/test_smoke.py traces it here
+from .cyclotomic import CyclotomicNumber, LaurentSeries, todd_factor_series  # noqa
 from .errors import (
+    CrossCheckFailed,
     FaceNotInFan,
     InvalidFan,
     NonGenericVector,
     PointOnWall,
-    PoleResidueNonzero,
     RankMismatch,
 )
-from .facering import SupportClass, face_class, p_star
+from .facering import (
+    SupportClass,
+    face_class,
+    fixed_point_series,
+    generic_pairings,
+    p_star,
+    sampled_constant_term,
+)
 from .fans import MultiFan, is_complete, sample_generic_vector
 from .lattices import dot
 
@@ -157,8 +159,8 @@ def count_bruteforce(P: MultiPolytope) -> int:
         if any(dot(point, fan.edge(j)) != P.support.values[j] for j in P.face):
             continue
         value = dh_evaluate(Q, point, v)
-        if any(x == a or x == b for x, a, b in zip(point, lo, hi)):
-            assert value == 0, (point, value)
+        if value and any(x == a or x == b for x, a, b in zip(point, lo, hi)):
+            raise CrossCheckFailed(f"value {value} on the box shell at {point}")
         total += value
     return total
 
@@ -173,26 +175,15 @@ def _vertex_character_sum(P: MultiPolytope, v) -> CyclotomicNumber:
         exp(t<u_I, v>) prod_{i in I, i not in face} 1/(1 - chi_i(h) e^(-<u_i^I, v> t)).
     """
     fan = P.fan
-    in_face = set(P.face)
-    terms = fan.rank + 3
     total = CyclotomicNumber.coerce(0)
     for I in P.top_cones():
-        duals = fan.dual_basis_of(I)
-        pairings = [dot(x, v) for x in duals]
-        if any(p == 0 for p in pairings):
-            raise NonGenericVector(f"{v} pairs to zero with a covector of {I}")
+        pairings = generic_pairings(fan.dual_basis_of(I), v)
         d = [P.support.values[i] for i in I]
         a = sum(x * p for x, p in zip(d, pairings))
         group = fan.group_of(I)
-        scale = Fraction(fan.weight(I), group.order)
-        for _, coords in group:
-            phase = root_of_unity(sum(x * c for x, c in zip(d, coords)))
-            prod = exp_series(a, terms)
-            for pos, i in enumerate(I):
-                if i not in in_face:
-                    chi = root_of_unity(coords[pos])
-                    prod = prod * todd_factor_series(pairings[pos], chi, terms)
-            total = total + phase * prod.coefficient(0) * scale
+        twisted = [pos for pos, i in enumerate(I) if i not in P.face]
+        series = fixed_point_series(pairings, group, twisted, fan.rank + 3, a, phase=d)
+        total = total + series.coefficient(0) * Fraction(fan.weight(I), group.order)
     return total
 
 
@@ -201,8 +192,8 @@ def count_formula(P: MultiPolytope, v=None) -> int:
 
     Requires integer support numbers but not integrality of the vertex
     covectors themselves: non-integral covectors contribute a nontrivial
-    root-of-unity phase per group element.  The grand total is asserted
-    to be a rational integer.
+    root-of-unity phase per group element.  A grand total that is not a
+    rational integer raises CrossCheckFailed.
     """
     fan = P.fan
     if any(x.denominator != 1 for x in P.support.values):
@@ -210,7 +201,8 @@ def count_formula(P: MultiPolytope, v=None) -> int:
     if v is None:
         v = sample_generic_vector(fan, random.Random(0xC0DE))
     value = _vertex_character_sum(P, v).rational()
-    assert value.denominator == 1, value
+    if value.denominator != 1:
+        raise CrossCheckFailed(f"character sum {value} is not an integer")
     return int(value)
 
 
@@ -223,59 +215,32 @@ def _face_todd_pushforward(P: MultiPolytope, K, v) -> LaurentSeries:
             * prod_{i in I minus K} c_i t / (1 - chi_i(h) e^(-c_i t))
             / (t^n prod_{i in I} c_i),       c_i = <u_i^I, v>.
 
-    Returned on the window [-n, 0]; all negative powers cancel over a
-    complete multi-fan and the constant term is the face count.
+    Since |I| = n, the powers of t and the products of the c_i cancel,
+    leaving exp(t<u_I, v>) prod_{i in I minus K} 1/(1 - chi_i(h) e^(-c_i t)):
+    the vertex character sum of the face without its phase.  Returned
+    on the window [-n, 0]; all negative powers cancel over a complete
+    multi-fan and the constant term is the face count.
     """
     fan = P.fan
-    n = fan.rank
-    in_K = set(K)
-    terms = n + 3
-    total = LaurentSeries.zero(-n, 0)
+    total = LaurentSeries.zero(-fan.rank, 0)
     for I in fan.cones_containing(K):
-        duals = fan.dual_basis_of(I)
-        pairings = [dot(x, v) for x in duals]
-        if any(p == 0 for p in pairings):
-            raise NonGenericVector(f"{v} pairs to zero with a covector of {I}")
+        pairings = generic_pairings(fan.dual_basis_of(I), v)
         a = sum(P.support.values[i] * p for i, p in zip(I, pairings))
         group = fan.group_of(I)
-        scale = Fraction(fan.weight(I), group.order)
-        for pos, i in enumerate(I):
-            if i in in_K:
-                scale *= pairings[pos]
-            scale /= pairings[pos]
-        for _, coords in group:
-            prod = exp_series(a, terms)
-            for pos, i in enumerate(I):
-                if i in in_K:
-                    continue
-                fac = todd_factor_series(pairings[pos], root_of_unity(coords[pos]), terms)
-                fac = LaurentSeries(
-                    fac.low + 1, [pairings[pos] * c for c in fac.coeffs]
-                )
-                prod = prod * fac
-            shifted = LaurentSeries(prod.low + len(K) - n, prod.coeffs)
-            total = total + shifted.scale(scale)
+        twisted = [pos for pos, i in enumerate(I) if i not in K]
+        series = fixed_point_series(pairings, group, twisted, fan.rank + 3, a)
+        total = total + series.scale(Fraction(fan.weight(I), group.order))
     return total
 
 
 def _count_face_pushforward(P: MultiPolytope, K) -> int:
     """Face count through the push-forward route, sampled twice."""
-    fan = P.fan
-    rng = random.Random(0xFACE)
-    v1 = sample_generic_vector(fan, rng)
-    v2 = sample_generic_vector(fan, rng)
-    while v2 == v1:
-        v2 = sample_generic_vector(fan, rng)
-    values = []
-    for v in (v1, v2):
-        series = _face_todd_pushforward(P, K, v)
-        for m in range(-fan.rank, 0):
-            if series.coefficient(m) != 0:
-                raise PoleResidueNonzero(f"negative power t^{m} survives along {v}")
-        values.append(series.coefficient(0).rational())
-    assert values[0] == values[1], (values, v1, v2)
-    assert values[0].denominator == 1, values[0]
-    return int(values[0])
+    value = sampled_constant_term(
+        P.fan, lambda v: _face_todd_pushforward(P, K, v), random.Random(0xFACE)
+    )
+    if value.denominator != 1:
+        raise CrossCheckFailed(f"push-forward face count {value} is not an integer")
+    return int(value)
 
 
 def count_face(P: MultiPolytope, K) -> int:
@@ -295,7 +260,8 @@ def count_face(P: MultiPolytope, K) -> int:
     count = count_formula(MultiPolytope(fan, P.support, K))
     if P.support.is_T_Cartier(fan):
         check = _count_face_pushforward(P, K)
-        assert check == count, (check, count)
+        if check != count:
+            raise CrossCheckFailed(f"face {K}: vertex sum {count} != push-forward {check}")
     return count
 
 

@@ -26,16 +26,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import (
-    CyclotomicNumber,
-    LaurentSeries,
-    root_of_unity,
-    todd_factor_series,
-)
+# todd_factor_series stays importable: perfbench/test_smoke.py traces it here
+from .cyclotomic import CyclotomicNumber, LaurentSeries, todd_factor_series  # noqa
 from .errors import (
+    CrossCheckFailed,
     InvalidFan,
     NonGenericPlane,
-    NonGenericVector,
     NotTCartier,
     RankMismatch,
     RigidityViolation,
@@ -46,6 +42,8 @@ from .facering import (
     SupportClass,
     embed_weight,
     face_class,
+    fixed_point_series,
+    generic_pairings,
     p_star,
     restrict_eval,
 )
@@ -114,7 +112,7 @@ def face_wedge(fan: MultiFan, J, i: int, omega_sign: int = 1):
     """Wedge of the restricted ray covector x_i with the face wedge of J.
 
     Computed as u_i^I ^ omega_J from every top cone I containing J and
-    asserted independent of I.  The result is zero unless i lies in J:
+    checked to be independent of I.  The result is zero unless i lies in J:
     for i outside J the covector u_i^I annihilates the whole span of J
     and is swallowed by omega_J.  With omega_sign = -1 the orientation
     of omega_J is reversed (a global sign on all coordinates).
@@ -135,7 +133,8 @@ def face_wedge(fan: MultiFan, J, i: int, omega_sign: int = 1):
             w = wedge_coordinates([u] + omega, n)
         else:
             w = tuple([Fraction(0)] * math.comb(n, m))
-        assert coords is None or coords == w, (J, i, I)
+        if coords is not None and coords != w:
+            raise CrossCheckFailed(f"face wedge of {J} at {i} changes on cone {I}")
         coords = w
     return coords
 
@@ -269,11 +268,13 @@ def morelli_coefficient(
             if i in J:
                 d *= dot(duals[pos], line)
         val = restrict_eval(fan, cls, I, line)[k]
-        assert num_b is None or (num_b, den_b) == (val, d), (J, I)
+        if num_b is not None and (num_b, den_b) != (val, d):
+            raise CrossCheckFailed(f"line values on {J} depend on the cone {I}")
         num_b, den_b = val, d
     if den_b == 0:
         raise NonGenericPlane(f"intersection line is orthogonal to a covector of {J}")
-    assert value == num_b / den_b, (value, num_b / den_b, J)
+    if value != num_b / den_b:
+        raise CrossCheckFailed(f"mu({J}): wedge {value} != line {num_b / den_b}")
     return value
 
 
@@ -299,25 +300,16 @@ def todd_face_coefficient(fan: MultiFan, J, plane: GenericPlane | None = None) -
     I0 = fan.cones_containing(J)[0]
     duals = dict(zip(I0, fan.dual_basis_of(I0)))
     cs_line = [dot(duals[j], line) for j in J]
+    group = fan.group_of(J)
     values = []
     for cs in (cs_wedge, cs_line):
         if any(c == 0 for c in cs):
             raise NonGenericPlane(f"plane degenerates on the face {J}")
-        values.append(_face_todd_constant(fan, J, cs))
-    assert values[0] == values[1], (J, values)
+        series = fixed_point_series(cs, group, range(len(J)), fan.rank + 3)
+        values.append((series.coefficient(0) * Fraction(1, group.order)).rational())
+    if values[0] != values[1]:
+        raise CrossCheckFailed(f"mu_k({J}): wedge {values[0]} != line {values[1]}")
     return values[0]
-
-
-def _face_todd_constant(fan: MultiFan, J, cs) -> Fraction:
-    terms = fan.rank + 3
-    group = fan.group_of(J)
-    total = CyclotomicNumber.coerce(0)
-    for _, coords in group:
-        prod = LaurentSeries.constant(1, terms - 1)
-        for pos in range(len(J)):
-            prod = prod * todd_factor_series(cs[pos], root_of_unity(coords[pos]), terms)
-        total = total + prod.coefficient(0)
-    return (total * Fraction(1, group.order)).rational()
 
 
 # ---------------------------------------------------------------------------
@@ -336,22 +328,12 @@ def todd_pushforward(fan: MultiFan, v, high: int | None = None) -> LaurentSeries
     n = fan.rank
     if high is None:
         high = n
-    terms = high + n + 1
     total = LaurentSeries.zero(-n, high)
     for I, w in zip(fan.cones, fan.weights):
-        duals = fan.dual_basis_of(I)
-        pairings = [dot(u, v) for u in duals]
-        if any(p == 0 for p in pairings):
-            raise NonGenericVector(f"{v} pairs to zero with a covector of {I}")
+        pairings = generic_pairings(fan.dual_basis_of(I), v)
         group = fan.group_of(I)
-        scale = Fraction(w, group.order)
-        for _, coords in group:
-            prod = LaurentSeries.constant(1, terms - 1)
-            for pos in range(len(I)):
-                prod = prod * todd_factor_series(
-                    pairings[pos], root_of_unity(coords[pos]), terms
-                )
-            total = total + prod.scale(scale)
+        series = fixed_point_series(pairings, group, range(n), high + n + 1)
+        total = total + series.scale(Fraction(w, group.order))
     for m in range(-n, high + 1):
         if m != 0 and total.coefficient(m) != 0:
             value = total.coefficient(m)
@@ -384,27 +366,17 @@ def ehrhart_coefficients(fan: MultiFan, support) -> tuple[Fraction, ...]:
     if not support.is_T_Cartier(fan):
         raise NotTCartier("support class has a fractional vertex covector")
     n = fan.rank
-    terms = n + 3
     v = sample_generic_vector(fan, random.Random(0xEA7))
     poly = [CyclotomicNumber.coerce(0) for _ in range(n + 1)]
     for I, w in zip(fan.cones, fan.weights):
-        duals = fan.dual_basis_of(I)
-        pairings = [dot(u, v) for u in duals]
-        if any(p == 0 for p in pairings):
-            raise NonGenericVector(f"{v} pairs to zero with a covector of {I}")
+        pairings = generic_pairings(fan.dual_basis_of(I), v)
         a = dot(support.restrict(fan, I), v)
         group = fan.group_of(I)
-        scale = Fraction(w, group.order)
-        for _, coords in group:
-            prod = LaurentSeries.constant(1, terms - 1)
-            for pos in range(len(I)):
-                prod = prod * todd_factor_series(
-                    pairings[pos], root_of_unity(coords[pos]), terms
-                )
-            pw = Fraction(1)
-            for j in range(n + 1):
-                poly[j] = poly[j] + prod.coefficient(-j) * (scale * pw)
-                pw = pw * a / (j + 1)
+        series = fixed_point_series(pairings, group, range(n), n + 3)
+        pw = Fraction(w, group.order)
+        for j in range(n + 1):
+            poly[j] = poly[j] + series.coefficient(-j) * pw
+            pw = pw * a / (j + 1)
     return tuple(poly[n - k].rational() for k in range(n + 1))
 
 
@@ -493,21 +465,10 @@ def cone_todd_series(rays, v, high: int | None = None) -> LaurentSeries:
     n = len(rays)
     if high is None:
         high = n
-    duals = dual_basis(rays)
-    pairings = [dot(u, v) for u in duals]
-    if any(p == 0 for p in pairings):
-        raise NonGenericVector(f"{v} pairs to zero with a covector of the cone")
+    pairings = generic_pairings(dual_basis(rays), v)
     group = quotient_group(rays)
-    terms = high + n + 1
-    total = LaurentSeries.zero(-n, high)
-    for _, coords in group:
-        prod = LaurentSeries.constant(1, terms - 1)
-        for pos in range(n):
-            prod = prod * todd_factor_series(
-                pairings[pos], root_of_unity(coords[pos]), terms
-            )
-        total = total + prod.scale(Fraction(1, group.order))
-    return total
+    series = fixed_point_series(pairings, group, range(n), high + n + 1)
+    return LaurentSeries.zero(-n, high) + series.scale(Fraction(1, group.order))
 
 
 def check_subdivision_cover(parent_rays, child_cones) -> None:

@@ -81,6 +81,19 @@ def test_pushforward_interval_series():
     assert s.coefficient(2) == Fraction(1, 3)
 
 
+def test_pushforward_of_a_mixed_degree_class():
+    # constant term: area 9/2 + edge length 3 + vertex 1
+    fan = projective_plane_fan()
+    x0, x1 = ray_class(fan, 0), ray_class(fan, 1)
+    s = pushforward_eval(
+        fan, 1 + x0 + x0 * x1, (1, 2), support=SupportClass([1, 1, 1]), high=2
+    )
+    assert (s.low, s.high) == (-2, 2)
+    assert [s.coefficient(m) for m in range(-2, 3)] == [
+        0, 0, Fraction(17, 2), 3, Fraction(99, 8)
+    ]
+
+
 def test_pushforward_needs_generic_vector():
     fan = projective_plane_fan()
     one = EquivariantClass.constant(fan, 1)

@@ -9,7 +9,9 @@ from multifan.catalog import (
     projective_plane_fan,
     weighted_p112_fan,
 )
+from multifan import polytopes
 from multifan.errors import (
+    CrossCheckFailed,
     FaceNotInFan,
     InvalidFan,
     NonGenericVector,
@@ -214,6 +216,21 @@ def test_count_face_phase_cancellation():
     P = MultiPolytope(line_fan(multiplier=2), [1, 1])
     assert count_face(P, (0,)) == 0
     assert count_bruteforce(MultiPolytope(P.fan, P.support, (0,))) == 0
+
+
+def test_count_face_raises_when_the_routes_disagree(monkeypatch):
+    # a typed error, not an assert, so the check survives python -O
+    monkeypatch.setattr(polytopes, "_count_face_pushforward", lambda P, K: 99)
+    with pytest.raises(CrossCheckFailed):
+        count_face(_square(), (0,))
+
+
+@pytest.mark.xfail(strict=True, raises=CrossCheckFailed,
+                   reason="vertex phase has the wrong sign for |H| >= 3")
+def test_count_formula_on_a_non_cartier_order_five_cone():
+    fan = MultiFan(2, [(1, 0), (0, 1), (-1, -5)], [(0, 1), (1, 2), (0, 2)])
+    P = MultiPolytope(fan, [1, 1, 1])
+    assert count_formula(P) == count_bruteforce(P) == 11
 
 
 def test_count_face_rejects_bad_input():

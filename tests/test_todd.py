@@ -19,10 +19,17 @@ from multifan.errors import (
     RankMismatch,
     RigidityViolation,
 )
-from multifan.facering import SupportClass, face_class, graded_monomials, ray_class
+from multifan.facering import (
+    EquivariantClass,
+    SupportClass,
+    face_class,
+    graded_monomials,
+    pushforward_eval,
+    ray_class,
+)
 from multifan.fans import MultiFan, random_complete_fan, sample_generic_vector
 from multifan.lattices import rank
-from multifan.polytopes import MultiPolytope, count_bruteforce, volume
+from multifan.polytopes import MultiPolytope, count_bruteforce, count_formula, volume
 from multifan.todd import (
     GenericPlane,
     cone_todd_series,
@@ -73,9 +80,21 @@ def test_todd_pushforward_rejects_incomplete_fans():
         todd_pushforward(quadrant, v)
 
 
-def test_todd_pushforward_rejects_nongeneric_vectors():
+_NONGENERIC_CALLS = {
+    "count_formula": lambda fan: count_formula(MultiPolytope(fan, [1, 1, 1, 1]), (1, 0)),
+    "cone_todd_series": lambda fan: cone_todd_series(fan.rays[:2], (1, 0)),
+    "todd_pushforward": lambda fan: todd_pushforward(fan, (1, 0)),
+    "pushforward_eval": lambda fan: pushforward_eval(
+        fan, EquivariantClass.constant(fan, 1), (1, 0)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_NONGENERIC_CALLS))
+def test_fixed_point_sums_reject_nongeneric_vectors(name):
+    # (1, 0) pairs to zero with a dual covector of every cone of the square
     with pytest.raises(NonGenericVector):
-        todd_pushforward(cross_fan(), (1, 0))
+        _NONGENERIC_CALLS[name](cross_fan())
 
 
 def test_ehrhart_coefficients_of_fixtures():
