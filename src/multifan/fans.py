@@ -10,9 +10,7 @@ ray).
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,12 +28,12 @@ from .errors import (
 from .lattices import (
     FiniteAbelianGroup,
     Vec,
+    annihilator_basis,
     determinant,
     dot,
     dual_basis,
     primitive_vector,
     quotient_group,
-    scale_to_integer,
     smith_normal_form,
     solve_in_span,
 )
@@ -205,168 +203,97 @@ def sample_generic_vector(fan: MultiFan, rng: random.Random) -> Vec:
 
 
 # ---------------------------------------------------------------------------
-# exact chamber enumeration (rank <= 3) for pre-completeness
+# walls, chambers and pre-completeness
 
 
-def _facet_normals(fan: MultiFan) -> list[Vec]:
-    n = fan.rank
-    normals = set()
-    if n == 1:
-        return [(1,)]
-    for I in fan.cones:
-        for sub in itertools.combinations(I, n - 1):
-            rows = [fan.rays[i] for i in sub]
-            if n == 2:
-                (a, b) = rows[0]
-                normal = (-b, a)
-            else:
-                (a1, a2, a3), (b1, b2, b3) = rows
-                normal = (
-                    a2 * b3 - a3 * b2,
-                    a3 * b1 - a1 * b3,
-                    a1 * b2 - a2 * b1,
-                )
-            normal = primitive_vector(normal)
-            if normal < tuple(-x for x in normal):
-                normal = tuple(-x for x in normal)
-            normals.add(normal)
-    return sorted(normals)
+def _oriented(u) -> Vec:
+    """The primitive vector along u, signed so that it exceeds its negative."""
+    u = primitive_vector(u)
+    return max(u, tuple(-x for x in u))
 
 
-def _line_chamber_points(points: list[Fraction]) -> list[Fraction]:
-    if not points:
-        return [Fraction(0)]
-    pts = sorted(set(points))
-    samples = [pts[0] - 1, pts[-1] + 1]
-    for a, b in zip(pts, pts[1:]):
-        samples.append((a + b) / 2)
-    return samples
+def _int_dot(u: Vec, v: Vec) -> int:
+    return sum(a * b for a, b in zip(u, v))
 
 
-def _sort_directions(dirs):
-    """Sort plane directions counterclockwise starting from (1, 0)."""
+def _wall_jumps(fan: MultiFan) -> dict[Vec, dict[tuple[int, ...], int]]:
+    """Jumps b_F of the degree across each facet F = I \\ {i}, by wall.
 
-    def half(d):
-        x, y = d
-        return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-    def compare(a, b):
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cross = a[0] * b[1] - a[1] * b[0]
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    return sorted(dirs, key=functools.cmp_to_key(compare))
-
-
-def _affine_chamber_points(lines) -> list[tuple[Fraction, Fraction]]:
-    """Sample one interior point per chamber of a 2D line arrangement.
-
-    Lines are (a, b, c) triples meaning a*y + b*z = c with (a, b) != 0.
-    Exactness: every chamber of the arrangement receives at least one
-    sample; no sample lies on any line.
+    A wall is keyed by its oriented primitive normal u, (1,) in rank 1.
+    The cone I lies on the side sign<u, v_i> of F, so crossing the wall
+    along u adds w(I) * sign<u, v_i> to b_F.
     """
-    cleaned = set()
-    for (a, b, c) in lines:
-        g = math.gcd(abs(a), abs(b), abs(c))
-        if g:
-            a, b, c = a // g, b // g, c // g
-        if (a, b, c) < (-a, -b, -c):
-            a, b, c = -a, -b, -c
-        cleaned.add((a, b, c))
-    lines = sorted(cleaned)
-    if not lines:
-        return [(Fraction(0), Fraction(0))]
-    all_parallel = all(
-        lines[0][0] * b - lines[0][1] * a == 0 for (a, b, _) in lines
-    )
-    if all_parallel:
-        a0, b0 = lines[0][0], lines[0][1]
-        norm = Fraction(a0 * a0 + b0 * b0)
-        offsets = []
-        for (a, b, c) in lines:
-            lam = Fraction(a, a0) if a0 else Fraction(b, b0)
-            offsets.append(Fraction(c) / lam)
-        pts = []
-        for t in _line_chamber_points(offsets):
-            pts.append((t * a0 / norm, t * b0 / norm))
-        return pts
-    samples = []
-    nlines = len(lines)
-    verts: dict[tuple[Fraction, Fraction], None] = {}
-    for i in range(nlines):
-        a1, b1, c1 = lines[i]
-        for j in range(i + 1, nlines):
-            a2, b2, c2 = lines[j]
-            det = a1 * b2 - a2 * b1
-            if det == 0:
-                continue
-            y = Fraction(c1 * b2 - c2 * b1, det)
-            z = Fraction(a1 * c2 - a2 * c1, det)
-            verts[(y, z)] = None
-    for q in verts:
-        through = [
-            (a, b, c) for (a, b, c) in lines if a * q[0] + b * q[1] == c
-        ]
-        dirs = set()
-        for (a, b, _) in through:
-            d = primitive_vector((-b, a))
-            dirs.add(d)
-            dirs.add((-d[0], -d[1]))
-        ordered = _sort_directions(dirs)
-        m = len(ordered)
-        for idx in range(m):
-            d1 = ordered[idx]
-            d2 = ordered[(idx + 1) % m]
-            step = (Fraction(d1[0] + d2[0]), Fraction(d1[1] + d2[1]))
-            if step == (0, 0):
-                continue
-            delta = Fraction(1)
-            for (a, b, c) in lines:
-                if a * q[0] + b * q[1] == c:
-                    continue
-                den = a * step[0] + b * step[1]
-                if den == 0:
-                    continue
-                tcross = (Fraction(c) - (a * q[0] + b * q[1])) / den
-                if tcross > 0:
-                    delta = min(delta, tcross / 2)
-            samples.append((q[0] + delta * step[0], q[1] + delta * step[1]))
-    return samples
+    normals: dict[tuple[int, ...], Vec] = {(): (1,)}
+    walls: dict[Vec, dict[tuple[int, ...], int]] = {}
+    for I, w in zip(fan.cones, fan.weights):
+        for i in I:
+            F = tuple(j for j in I if j != i)
+            if F not in normals:
+                normals[F] = _oriented(annihilator_basis([fan.rays[j] for j in F]).vectors[0])
+            u = normals[F]
+            jumps = walls.setdefault(u, {})
+            jumps[F] = jumps.get(F, 0) + (w if _int_dot(u, fan.rays[i]) > 0 else -w)
+    return walls
+
+
+def _constant_degree(fan: MultiFan) -> bool:
+    """Exact test that the degree is the same at every generic vector.
+
+    Across the wall u^perp the degree jumps by the degree of the jump fan
+    of the facets with b_F != 0, weighted by b_F, in the saturated lattice
+    u^perp cap N.  So it is constant iff every jump fan has degree 0 everywhere.
+    """
+    if fan.rank == 1:
+        return _rank1_balanced(fan)
+    for u, jumps in _wall_jumps(fan).items():
+        facets = [F for F, b in jumps.items() if b]
+        if not facets:
+            continue
+        basis = annihilator_basis([u]).vectors
+        used = sorted({i for F in facets for i in F})
+        jump = MultiFan(
+            fan.rank - 1,
+            [tuple(int(x) for x in solve_in_span(basis, fan.rays[i])) for i in used],
+            [[used.index(i) for i in F] for F in facets],
+            [jumps[F] for F in facets],
+            [fan.multipliers[i] for i in used],
+        )
+        if not (_constant_degree(jump) and fan_degree(jump) == 0):
+            return False
+    return True
+
+
+def _chamber_points(normals: list[Vec], k: int) -> list[Vec]:
+    """Integer points meeting every chamber of the walls u^perp in Q^k.
+
+    Deletion-restriction: the chambers of W_1..W_m are met by the points
+    for W_1..W_(m-1) off W_m and by N*q +- u_m, q meeting every chamber of
+    the earlier walls restricted to W_m; N = 1 + max |<u_j, u_m>| keeps
+    <u_j, N*q +- u_m> of the sign of <u_j, q> != 0.  One point per sign vector.
+    """
+    points = [(0,) * k]
+    for m, u in enumerate(normals):
+        basis = annihilator_basis([u]).vectors
+        restricted = {_oriented([_int_dot(w, b) for b in basis]) for w in normals[:m]}
+        scale = 1 + max((abs(_int_dot(w, u)) for w in normals[:m]), default=0)
+        chambers = {}
+        for p in [p for p in points if _int_dot(u, p)] + [
+            tuple(scale * sum(c * b[j] for c, b in zip(q, basis)) + s * u[j] for j in range(k))
+            for q in _chamber_points(sorted(restricted), k - 1)
+            for s in (1, -1)
+        ]:
+            chambers.setdefault(tuple(_int_dot(w, p) > 0 for w in normals[: m + 1]), p)
+        points = list(chambers.values())
+    return points
 
 
 def chamber_vectors(fan: MultiFan) -> list[Vec]:
     """One generic integer vector per chamber of the facet arrangement.
 
-    Exact for rank <= 3; raises RankMismatch beyond that.
+    Exact in every rank.  `precompleteness` does not use it; it is the
+    reference that tests compare the wall recursion against.
     """
-    n = fan.rank
-    if n == 1:
-        return [(1,), (-1,)]
-    if n > 3:
-        raise RankMismatch("exact chamber enumeration implemented for rank <= 3")
-    normals = _facet_normals(fan)
-    out = []
-    for s in (1, -1):
-        if n == 2:
-            points = [
-                Fraction(-s * u[0], u[1]) for u in normals if u[1] != 0
-            ]
-            for y in _line_chamber_points(points):
-                out.append(scale_to_integer((Fraction(s), y)))
-        else:
-            lines = []
-            for u in normals:
-                if u[1] == 0 and u[2] == 0:
-                    continue
-                lines.append((u[1], u[2], -s * u[0]))
-            for (y, z) in _affine_chamber_points(lines):
-                out.append(scale_to_integer((Fraction(s), y, z)))
+    out = [primitive_vector(p) for p in _chamber_points(sorted(_wall_jumps(fan)), fan.rank)]
     # the arrangement contains every facet span, so samples are generic
     for v in out:
         if not is_generic(fan, v):
@@ -375,18 +302,14 @@ def chamber_vectors(fan: MultiFan) -> list[Vec]:
 
 
 def precompleteness(fan: MultiFan) -> tuple[bool, int | None, str]:
-    """(is_precomplete, degree if constant, method used)."""
-    if fan.rank <= 3:
-        vs = chamber_vectors(fan)
-        method = "exact-chambers"
-    else:
-        rng = random.Random(0x5EED)
-        vs = [sample_generic_vector(fan, rng) for _ in range(200)]
-        method = "random-200"
-    degs = {degree(fan, v) for v in vs}
-    if len(degs) == 1:
-        return True, degs.pop(), method
-    return False, None, method
+    """(is_precomplete, degree if constant, method used).
+
+    Exact in every rank by recursion over the jumps of the degree across
+    walls (Hattori-Masuda, "Theory of multi-fans").
+    """
+    if _constant_degree(fan):
+        return True, fan_degree(fan), "exact-walls"
+    return False, None, "exact-walls"
 
 
 def is_precomplete(fan: MultiFan) -> bool:
@@ -459,13 +382,8 @@ def project(fan: MultiFan, K) -> ProjectedMultiFan:
 
 
 def _rank1_balanced(fan: MultiFan) -> bool:
-    plus = sum(
-        w for I, w in zip(fan.cones, fan.weights) if fan.rays[I[0]][0] > 0
-    )
-    minus = sum(
-        w for I, w in zip(fan.cones, fan.weights) if fan.rays[I[0]][0] < 0
-    )
-    return plus == minus
+    """The weights on the two sides of the origin agree: its jump is 0."""
+    return _wall_jumps(fan)[(1,)][()] == 0
 
 
 def is_complete(fan: MultiFan) -> bool:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -33,7 +34,7 @@ from multifan.fans import (
     sample_generic_vector,
     star_subdivide,
 )
-from multifan.lattices import dot
+from multifan.lattices import dot, kernel_basis, scale_to_integer
 
 
 def _incomplete_quadrant():
@@ -119,7 +120,7 @@ def test_degree_counts_weights():
         [2, 2, 2, 2],
     )
     assert degree(fan, (3, 1)) == 2
-    assert precompleteness(fan) == (True, 2, "exact-chambers")
+    assert precompleteness(fan) == (True, 2, "exact-walls")
 
 
 def test_sample_generic_vector_is_deterministic():
@@ -132,37 +133,112 @@ def test_sample_generic_vector_is_deterministic():
     assert is_generic(fan, v1)
 
 
-def test_chamber_vectors_cover_rank2():
-    from multifan.fans import _facet_normals
-
-    fan = projective_plane_fan()
+def _chamber_patterns(fan):
+    """Sign vectors of the chamber vectors against every facet span."""
+    normals = {
+        scale_to_integer(kernel_basis([fan.rays[i] for i in F])[0])
+        for I in fan.cones
+        for F in itertools.combinations(I, fan.rank - 1)
+    }
     vs = chamber_vectors(fan)
-    normals = _facet_normals(fan)
-    # six sectors cut out by the three ray spans, each hit at least once
-    patterns = {tuple(1 if dot(u, v) > 0 else -1 for u in normals) for v in vs}
-    assert len(patterns) == 6
     assert all(degree(fan, v) == 1 for v in vs)
+    return {tuple(dot(u, v) > 0 for u in normals) for v in vs}
+
+
+def test_chamber_vectors_cover_rank2():
+    # six sectors cut out by the three ray spans, each hit at least once
+    assert len(_chamber_patterns(projective_plane_fan())) == 6
 
 
 def test_chamber_vectors_cover_rank3():
-    from multifan.fans import _facet_normals
-
-    fan = projective_space_fan(3)
-    vs = chamber_vectors(fan)
-    normals = _facet_normals(fan)
-    patterns = {tuple(1 if dot(u, v) > 0 else -1 for u in normals) for v in vs}
     # the facet planes are x=0, y=0, z=0, x=y, y=z, x=z, whose chambers
     # match the strict orderings of (x, y, z, 0)
-    assert len(patterns) == 24
-    assert all(degree(fan, v) == 1 for v in vs)
+    assert len(_chamber_patterns(projective_space_fan(3))) == 24
+
+
+def test_chamber_vectors_cover_rank4():
+    # likewise the strict orderings of (x, y, z, t, 0)
+    assert len(_chamber_patterns(projective_space_fan(4))) == 120
 
 
 def test_precompleteness_detects_gaps():
     assert is_precomplete(projective_plane_fan())
     assert is_precomplete(cross_fan())
     assert not is_precomplete(_incomplete_quadrant())
+    # half-spaces: every jump fan is pre-complete, but the one on the
+    # boundary wall has degree 1, not 0
+    half_plane = MultiFan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)])
+    half_space = MultiFan(
+        3,
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0)],
+        [(a, b, 2) for a in (0, 3) for b in (1, 4)],
+    )
+    assert not is_precomplete(half_plane)
+    assert not is_precomplete(half_space)
     ok, deg, method = precompleteness(projective_space_fan(3))
-    assert (ok, deg, method) == (True, 1, "exact-chambers")
+    assert (ok, deg, method) == (True, 1, "exact-walls")
+
+
+def test_precompleteness_rejects_thin_cone_in_rank4():
+    # P^4 plus one thin cone near (1, 0, 0, 0): the degree is 2 only on a
+    # set that random generic vectors almost never hit
+    base = projective_space_fan(4)
+    fan = MultiFan(
+        4,
+        list(base.rays) + [(50, 1, 0, 0), (50, 0, 1, 0), (50, 0, 0, 1)],
+        list(base.cones) + [(0, 5, 6, 7)],
+    )
+    assert precompleteness(fan) == (False, None, "exact-walls")
+    assert len({degree(fan, v) for v in chamber_vectors(fan)}) == 2
+
+
+def _random_multifan(rng):
+    """A rank 1-3 multi-fan built to be pre-complete or only nearly so."""
+    dim = rng.randint(1, 3)
+    steps = 2 if dim > 1 else 0  # a rank-1 star subdivision orphans a ray
+    layers = [random_complete_fan(rng.randrange(10**6), dim, rng.randint(0, steps))]
+    if rng.random() < 0.3:  # overlay a second fan that shares some walls
+        layers.append(random_complete_fan(rng.randrange(10**6), dim, rng.randint(0, steps)))
+    scale = rng.choice([1, 1, 2])
+    rays, cones, weights = [], [], []
+    for n, layer in enumerate(layers):
+        sign = rng.choice([1, -1]) if n else 1
+        for I in layer.cones:
+            cones.append([len(rays) + i for i in I])
+            weights.append(sign * scale)
+        rays += layer.rays
+    if rng.random() < 0.3:  # mixed-sign weights
+        weights = [rng.choice([-2, -1, 1, 2]) for _ in cones]
+    if rng.random() < 0.4:  # one ray duplicated, half its cones moved to the copy
+        r = rng.randrange(len(rays))
+        rays.append(rays[r])
+        for I in cones:
+            if r in I and rng.random() < 0.5:
+                I[I.index(r)] = len(rays) - 1
+    if rng.random() < 0.4 and len(cones) > 1:  # one cone dropped
+        k = rng.randrange(len(cones))
+        del cones[k], weights[k]
+    used = sorted({i for I in cones for i in I})
+    return MultiFan(
+        dim,
+        [rays[i] for i in used],
+        [[used.index(i) for i in I] for I in cones],
+        weights,
+    )
+
+
+def test_precompleteness_agrees_with_chamber_vectors():
+    rng = random.Random(20031)
+    verdicts = []
+    for _ in range(60):
+        fan = _random_multifan(rng)
+        degs = {degree(fan, v) for v in chamber_vectors(fan)}
+        expected = (True, degs.pop()) if len(degs) == 1 else (False, None)
+        assert precompleteness(fan) == expected + ("exact-walls",), fan
+        verdicts.append(expected)
+    # the sweep must reach both verdicts, and degree 0 from cancelling layers
+    assert {ok for ok, _ in verdicts} == {True, False}
+    assert {0, 2} <= {deg for _, deg in verdicts}
 
 
 def test_precomplete_but_not_complete():
