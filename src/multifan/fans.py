@@ -276,11 +276,13 @@ def _chamber_points(normals: list[Vec], k: int) -> list[Vec]:
         basis = annihilator_basis([u]).vectors
         restricted = {_oriented([_int_dot(w, b) for b in basis]) for w in normals[:m]}
         scale = 1 + max((abs(_int_dot(w, u)) for w in normals[:m]), default=0)
+        on_wall = [
+            tuple(sum(c * b[j] for c, b in zip(q, basis)) for j in range(k))
+            for q in _chamber_points(sorted(restricted), k - 1)
+        ]
         chambers = {}
         for p in [p for p in points if _int_dot(u, p)] + [
-            tuple(scale * sum(c * b[j] for c, b in zip(q, basis)) + s * u[j] for j in range(k))
-            for q in _chamber_points(sorted(restricted), k - 1)
-            for s in (1, -1)
+            tuple(scale * x + s * y for x, y in zip(q, u)) for q in on_wall for s in (1, -1)
         ]:
             chambers.setdefault(tuple(_int_dot(w, p) > 0 for w in normals[: m + 1]), p)
         points = list(chambers.values())
