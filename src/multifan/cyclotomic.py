@@ -5,7 +5,8 @@ zeta_N of degree < phi(N), reduced modulo the N-th cyclotomic
 polynomial.  Conductors are promoted automatically (N | M embeds via
 zeta_N = zeta_M^(M/N)).  Laurent series carry an explicit validity
 window: coefficients are exact up to the window top and identically
-zero below the window bottom.
+zero below the window bottom.  The twisted Todd factors
+1/(1 - chi e^(-c t)) are closed-form sums of Bernoulli values.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import (
     NotRational,
     SeriesWindowError,
 )
+from .lattices import solve_in_span
 
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (coefficient lists, ascending degree)
@@ -84,56 +86,6 @@ def _poly_mod_frac(p, phi):
         p.pop()
     p += [Fraction(0)] * (dn - len(p))
     return p
-
-
-def _poly_xgcd_frac(a, b):
-    """Extended gcd for Fraction polynomials; returns (g, s, t)."""
-
-    def trim(p):
-        p = list(p)
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def scale(p, c):
-        return [x * c for x in p]
-
-    def sub(p, q):
-        r = list(p) + [Fraction(0)] * (len(q) - len(p))
-        for i, x in enumerate(q):
-            r[i] -= x
-        return trim(r)
-
-    def mul(p, q):
-        if not p or not q:
-            return []
-        out = [Fraction(0)] * (len(p) + len(q) - 1)
-        for i, x in enumerate(p):
-            if x:
-                for j, y in enumerate(q):
-                    out[i + j] += x * y
-        return trim(out)
-
-    def divmod_(num, den):
-        num = trim(num)
-        den = trim(den)
-        q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-        while len(num) >= len(den):
-            c = num[-1] / den[-1]
-            d = len(num) - len(den)
-            q[d] = c
-            num = sub(num, scale([Fraction(0)] * d + den, c))
-        return trim(q), num
-
-    old_r, r = trim(a), trim(b)
-    old_s, s = [Fraction(1)], []
-    old_t, t = [], [Fraction(1)]
-    while r:
-        q, rem = divmod_(old_r, r)
-        old_r, r = r, rem
-        old_s, s = s, sub(old_s, mul(q, s))
-        old_t, t = t, sub(old_t, mul(q, t))
-    return old_r, old_s, old_t
 
 
 class CyclotomicNumber:
@@ -224,15 +176,11 @@ class CyclotomicNumber:
     def inverse(self) -> "CyclotomicNumber":
         if self.is_zero():
             raise DivisionByZero("inverse of zero cyclotomic number")
-        if self.is_rational():
-            return CyclotomicNumber(self.conductor, [1 / self.coeffs[0]])
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        g, s, _ = _poly_xgcd_frac(list(self.coeffs), phi)
-        # Phi_N is irreducible, so the gcd is a nonzero scalar
-        if len(g) != 1 or g[0] == 0:
-            raise CrossCheckFailed(f"gcd with Phi_{self.conductor} is not a unit")
-        inv = [c / g[0] for c in s]
-        return CyclotomicNumber(self.conductor, inv)
+        # solve sum_j y_j (self * zeta^j) = 1; the products are independent
+        # because Q(zeta_N) is a field
+        n, phi = self.conductor, len(self.coeffs)
+        rows = [CyclotomicNumber(n, [0] * j + list(self.coeffs)).coeffs for j in range(phi)]
+        return CyclotomicNumber(n, solve_in_span(rows, [1] + [0] * (phi - 1)))
 
     def __truediv__(self, other):
         return self * CyclotomicNumber.coerce(other).inverse()
@@ -247,9 +195,11 @@ class CyclotomicNumber:
         return a.coeffs == b.coeffs
 
     def __hash__(self):
+        # equal values can differ in conductor, so only rational values hash
+        # by value; nothing in the package hashes the others
         if self.is_rational():
             return hash(self.coeffs[0])
-        return hash((self.conductor, self.coeffs))
+        return hash(CyclotomicNumber)
 
     def __bool__(self):
         return not self.is_zero()
@@ -286,7 +236,6 @@ def common_conductor(phases) -> int:
 # truncated Laurent series over the cyclotomic numbers
 
 _ZERO = CyclotomicNumber.from_rational(0)
-_ONE = CyclotomicNumber.from_rational(1)
 
 
 class LaurentSeries:
@@ -403,38 +352,51 @@ def _todd_unit_coeffs(terms: int) -> tuple[Fraction, ...]:
     return tuple(u)
 
 
-def todd_factor_series(c, chi, terms: int) -> LaurentSeries:
-    """Series of 1 / (1 - chi e^(-c t)) with `terms` exact coefficients.
+def todd_factor_series(c, phase, terms: int) -> LaurentSeries:
+    """Series of 1 / (1 - chi e^(-c t)), chi = e^(2 pi i phase), with
+    `terms` exact coefficients.
 
-    For chi == 1 the series starts at t^-1 with coefficient 1/c (c must
-    be nonzero); otherwise it is a power series with constant term
-    1/(1 - chi).
+    For an integral phase (chi = 1) the series starts at t^-1 with
+    coefficient 1/c (c must be nonzero).  Otherwise chi is a primitive
+    M-th root of unity, M the denominator of the phase, and the power
+    series sum_{0 <= s < M} chi^s e^(-s x) / (1 - e^(-M x)) in x = c t has
+    the Fourier-Dedekind sums M^m/(m+1)! sum_s chi^s B_{m+1}(1 - s/M) as
+    coefficients.  Expanding B_{m+1} about 1 and dropping the term
+    B_{m+1}(1) sum_s chi^s = 0 gives the coefficient of x^m as
+
+        sum_{0 < s < M} chi^s / ((m+1)! M) sum_{k <= m} C(m+1, k) B_k(1) M^k (-s)^(m+1-k),
+
+    summed in integers and reduced mod Phi_M before it becomes a fraction.
     """
     c = Fraction(c)
-    chi = CyclotomicNumber.coerce(chi)
-    if chi == _ONE:
+    phase = Fraction(phase)
+    u = _todd_unit_coeffs(terms)  # u_k = B_k(1) / k!
+    if phase.denominator == 1:
         if c == 0:
             raise DivisionByZero("1/(1 - e^0) pole of infinite order")
-        u = _todd_unit_coeffs(terms)
         pw = Fraction(1, c)
         cs = []
         for j in range(terms):
             cs.append(u[j] * pw)
             pw *= c
         return LaurentSeries(-1, cs)
-    # regular factor: invert the power series 1 - chi e^(-ct)
-    d = [_ONE - chi]
-    pw = Fraction(1)
-    fact = 1
-    for j in range(1, terms):
-        pw *= -c
-        fact *= j
-        d.append(chi * Fraction(-1) * Fraction(pw, fact))
-    b0 = d[0].inverse()
-    out = [b0]
-    for j in range(1, terms):
-        acc = _ZERO
-        for i in range(1, j + 1):
-            acc = acc + d[i] * out[j - i]
-        out.append(-(b0 * acc))
-    return LaurentSeries(0, out)
+    M = phase.denominator
+    e = phase.numerator % M
+    bern = [math.factorial(k) * x for k, x in enumerate(u)]
+    den = math.lcm(*(b.denominator for b in bern))
+    bern = [b.numerator * (den // b.denominator) for b in bern]  # den B_k(1)
+    phi = cyclotomic_polynomial(M)
+    cs = []
+    for m in range(terms):
+        n = m + 1
+        a = [bern[n - j] * math.comb(n, j) * M ** (n - j) for j in range(n, 0, -1)]
+        coords = [0] * M
+        for s in range(1, M):
+            acc = 0
+            for x in a:  # Horner in -s
+                acc = (acc + x) * -s
+            coords[e * s % M] = acc
+        coords = _poly_divmod_int(coords, phi)[1]
+        num, d = c.numerator ** m, math.factorial(n) * den * M * c.denominator ** m
+        cs.append(CyclotomicNumber(M, [Fraction(num * x, d) for x in coords]))
+    return LaurentSeries(0, cs)

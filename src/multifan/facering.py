@@ -258,8 +258,7 @@ def fixed_point_series(
     for _, coords in group:
         term = exp_series(a, terms)
         for pos in twisted:
-            chi = root_of_unity(coords[pos])
-            term = term * todd_factor_series(pairings[pos], chi, terms)
+            term = term * todd_factor_series(pairings[pos], coords[pos], terms)
         if phase is not None:
             e = Fraction(sum(x * c for x, c in zip(phase, coords)))
             if e.denominator != 1:  # skip the phase 1: scaling costs a product per term

@@ -458,11 +458,13 @@ def random_complete_fan(seed: int, dim: int, steps: int) -> MultiFan:
 
     Each step picks a top cone and a primitive ray strictly inside it,
     so the result stays a genuine complete fan; in rank 2 each step adds
-    one cone, in rank n it adds n-1.
+    one cone, in rank n it adds n-1.  A half-line has no primitive ray
+    inside it but its own, so in rank 1 a step does nothing and the
+    result is P^1.
     """
     rng = random.Random(seed)
     fan = projective_space_fan(dim)
-    for _ in range(steps):
+    for _ in range(steps if dim > 1 else 0):
         I = fan.cones[rng.randrange(len(fan.cones))]
         coeffs = [rng.randint(1, 3) for _ in I]
         r = primitive_vector(

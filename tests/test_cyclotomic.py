@@ -1,5 +1,6 @@
 """Cyclotomic numbers, roots of unity, and windowed Laurent series."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -67,10 +68,26 @@ def test_inverse_and_division():
     z = root_of_unity(Fraction(1, 5))
     w = (1 - z).inverse()
     assert (w * (1 - z)).rational() == 1
+    # composite conductors, and an element that is not a unit of Z[zeta]
+    for n in (12, 15, 24):
+        x = 2 + 3 * root_of_unity(Fraction(1, n)) - root_of_unity(Fraction(5, n))
+        y = x.inverse()
+        assert y.conductor == n
+        assert (x * y).rational() == 1
+        assert (7 / x) * x == 7
     with pytest.raises(DivisionByZero):
         CyclotomicNumber.from_rational(0).inverse()
     q = CyclotomicNumber.from_rational(Fraction(3, 4)) / 6
     assert q.rational() == Fraction(1, 8)
+
+
+def test_hash_agrees_with_equality_across_conductors():
+    a = root_of_unity(Fraction(1, 3))
+    b = root_of_unity(Fraction(1, 3), 6)
+    assert a == b and a.conductor != b.conductor
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert hash(root_of_unity(Fraction(1, 2), 4)) == hash(-1)
 
 
 def test_rationality_check():
@@ -115,34 +132,53 @@ def test_todd_factor_series_bernoulli_values():
     assert sc.rational_coefficient(1) == c / 12
 
 
+def _times_denominator(s, phase):
+    """Coefficients of (1 - chi e^(-t)) s, chi = e^(2 pi i phase).
+
+    Works on coordinate lists over zeta_M, M the denominator of the phase,
+    where chi = zeta_M^e multiplies by a cyclic shift; only the results
+    are reduced.
+    """
+    M, e = phase.denominator, phase.numerator % phase.denominator
+    window = range(s.low, s.high + 1)
+    coords = {k: s.coefficient(k).promote(M).coeffs for k in window}
+    exp = [Fraction((-1) ** j, math.factorial(j)) for j in range(len(window))]
+    out = []
+    for k in window:
+        # w = e^(-t) s at t^k; chi w puts the coordinate of zeta^r at r + e
+        w = [sum(exp[k - i] * coords[i][r] for i in range(s.low, k + 1))
+             for r in range(len(coords[k]))]
+        y = list(coords[k]) + [0] * (M - len(w))
+        for r, x in enumerate(w):
+            y[(r + e) % M] -= x
+        out.append(CyclotomicNumber(M, y))
+    return out
+
+
 def test_todd_factor_series_inverts_its_denominator():
-    # oracle: multiply back by 1 - chi e^(-ct) and compare with 1
-    for c, chi_phase in [
-        (Fraction(1), None),
-        (Fraction(5, 3), None),
-        (Fraction(2), Fraction(1, 2)),
-        (Fraction(-7, 4), Fraction(1, 3)),
-        (Fraction(3, 5), Fraction(5, 6)),
-    ]:
-        chi = 1 if chi_phase is None else root_of_unity(chi_phase)
-        terms = 7
-        s = todd_factor_series(c, chi, terms)
-        # build 1 - chi e^(-ct) on a generous window
-        e = exp_series(-c, terms + 2)
-        denom = LaurentSeries.constant(1, terms + 1) - e.scale(chi)
-        prod = denom * s
-        assert prod.coefficient(0).rational() == 1
-        for k in range(prod.low, min(prod.high, 4) + 1):
-            if k != 0:
-                assert prod.coefficient(k).is_zero()
+    for phase in sorted({Fraction(e, n) for n in range(1, 25) for e in range(n)}):
+        # oracle: multiply back by 1 - chi e^(-t) and compare with 1
+        s = todd_factor_series(1, phase, 8)
+        assert (s.low, s.high) == ((-1, 6) if phase == 0 else (0, 7))
+        prod = _times_denominator(s, phase)
+        assert prod == [1 if k == 0 else 0 for k in range(s.low, s.high + 1)]
+        # the series is a function of c t, and fewer terms truncate it
+        for c in (Fraction(1), Fraction(-7, 4), Fraction(0)):
+            if phase == 0 and c == 0:
+                continue
+            sc = todd_factor_series(c, phase, 8)
+            assert sc.low == s.low
+            if c != 1:
+                assert sc.coeffs == [x * c ** (s.low + k) for k, x in enumerate(s.coeffs)]
+            for terms in range(1, 8):
+                assert todd_factor_series(c, phase, terms).coeffs == sc.coeffs[:terms]
 
 
 def test_todd_factor_zero_speed_pole():
     with pytest.raises(DivisionByZero):
         todd_factor_series(Fraction(0), 1, 4)
     # chi != 1 with c = 0 is a constant series 1/(1-chi)
-    chi = root_of_unity(Fraction(1, 2))
-    s = todd_factor_series(Fraction(0), chi, 4)
+    s = todd_factor_series(Fraction(0), Fraction(1, 2), 4)
     assert s.coefficient(0).rational() == Fraction(1, 2)
     assert s.coefficient(1).is_zero()
 

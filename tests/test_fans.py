@@ -195,10 +195,9 @@ def test_precompleteness_rejects_thin_cone_in_rank4():
 def _random_multifan(rng):
     """A rank 1-3 multi-fan built to be pre-complete or only nearly so."""
     dim = rng.randint(1, 3)
-    steps = 2 if dim > 1 else 0  # a rank-1 star subdivision orphans a ray
-    layers = [random_complete_fan(rng.randrange(10**6), dim, rng.randint(0, steps))]
+    layers = [random_complete_fan(rng.randrange(10**6), dim, rng.randint(0, 2))]
     if rng.random() < 0.3:  # overlay a second fan that shares some walls
-        layers.append(random_complete_fan(rng.randrange(10**6), dim, rng.randint(0, steps)))
+        layers.append(random_complete_fan(rng.randrange(10**6), dim, rng.randint(0, 2)))
     scale = rng.choice([1, 1, 2])
     rays, cones, weights = [], [], []
     for n, layer in enumerate(layers):
@@ -376,6 +375,15 @@ def test_random_complete_fan_sizes():
     fan3 = random_complete_fan(seed=9, dim=3, steps=2)
     assert len(fan3.cones) == 4 + 2 * 2
     assert is_complete(fan3)
+
+
+def test_random_complete_fan_rank1_is_p1():
+    # a half-line has no interior ray but its own, so steps change nothing
+    p1 = projective_space_fan(1)
+    for steps in range(6):
+        fan = random_complete_fan(seed=steps, dim=1, steps=steps)
+        assert (fan.rays, fan.cones, fan.weights) == (p1.rays, p1.cones, p1.weights)
+        assert is_complete(fan)
 
 
 def test_random_complete_fan_is_deterministic():
