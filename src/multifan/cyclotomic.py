@@ -69,6 +69,17 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
+def ramanujan_sum(j: int, n: int) -> int:
+    """Tr_{Q(zeta_n)/Q}(zeta_n^j) = sum over k in (Z/n)^* of zeta_n^(jk).
+
+    With m = n / gcd(j, n) this is mu(m) phi(n) / phi(m).  The Moebius
+    value mu(m) is the sum of the primitive m-th roots of unity, which is
+    minus the next-to-leading coefficient of Phi_m.
+    """
+    m = n // math.gcd(j, n)
+    return -cyclotomic_polynomial(m)[-2] * (euler_phi(n) // euler_phi(m))
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic numbers
 
@@ -84,8 +95,10 @@ def _poly_mod_frac(p, phi):
             for i, x in enumerate(phi):
                 p[i + d] -= c * x
         p.pop()
-    p += [Fraction(0)] * (dn - len(p))
     return p
+
+
+_FRACTION_ZERO = Fraction(0)
 
 
 class CyclotomicNumber:
@@ -95,10 +108,10 @@ class CyclotomicNumber:
 
     def __init__(self, conductor: int, coeffs):
         phi = euler_phi(conductor)
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if len(cs) > phi:
             cs = _poly_mod_frac(cs, cyclotomic_polynomial(conductor))
-        cs += [Fraction(0)] * (phi - len(cs))
+        cs += [_FRACTION_ZERO] * (phi - len(cs))
         self.conductor = conductor
         self.coeffs = tuple(cs)
 
@@ -143,6 +156,14 @@ class CyclotomicNumber:
         if not self.is_rational():
             raise NotRational(f"nonrational cyclotomic value {self!r}")
         return self.coeffs[0]
+
+    def trace(self) -> Fraction:
+        """Tr_{Q(zeta_N)/Q}: the sum of the phi(N) Galois conjugates."""
+        n = self.conductor
+        return sum(
+            (c * ramanujan_sum(j, n) for j, c in enumerate(self.coeffs) if c),
+            _FRACTION_ZERO,
+        )
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -7,7 +7,11 @@ u_i^I for i in I and to zero otherwise; the push-forward to a point is
 computed by the fixed-point sum after substituting u -> t<u, v> for a
 generic vector v.  The sums over pairs (I, h) of a top cone and an
 element of its group behind the Todd genus, the lattice point counts and
-the face weights share one kernel, `fixed_point_series`.
+the face weights share one kernel, `fixed_point_series`.  The terms of h
+and kh, k prime to the order of h, are Galois conjugates, so the kernel
+builds one term per cyclic subgroup of the group and adds its trace down
+to Q: the cost grows with the number of cyclic subgroups, not with the
+cone index, and every sum it returns is rational.
 """
 
 from __future__ import annotations
@@ -16,9 +20,16 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, prod
 
-from .cyclotomic import LaurentSeries, exp_series, root_of_unity, todd_factor_series
+from .cyclotomic import (
+    LaurentSeries,
+    common_conductor,
+    euler_phi,
+    exp_series,
+    root_of_unity,
+    todd_factor_series,
+)
 from .errors import (
     CrossCheckFailed,
     NonGenericVector,
@@ -253,9 +264,27 @@ def fixed_point_series(
 
     with c_pos = pairings[pos] and the characters chi_pos(h) = e^(2 pi i h_pos)
     read off the coordinates of h; callers scale the sum by w(I)/|H_I|.
+    The phase must be an integral covector.
+
+    One term is built per cyclic subgroup.  If h has order m and k is
+    prime to m, every character of kh is the k-th power of that of h, so
+    the term of kh is the Galois conjugate sigma_k of the term of h (this
+    needs the integral phase: <phase, kh> = k <phase, h> mod 1).  Each
+    coefficient x of the term of h lies in Q(zeta_N) with N | m, and the
+    sum of sigma_k(x) over k in (Z/m)^* is phi(m)/phi(N) Tr(x).  The sum
+    is therefore rational in every coefficient.
     """
+    if phase is not None and any(Fraction(x).denominator != 1 for x in phase):
+        raise ValueError(f"fixed-point phase {tuple(phase)} is not integral")
     total = None
+    seen = set()
     for _, coords in group:
+        key = tuple(c % 1 for c in coords)
+        if key in seen:
+            continue
+        m = common_conductor(key)
+        units = [k for k in range(1, m + 1) if gcd(k, m) == 1]
+        seen.update(tuple(k * c % 1 for c in key) for k in units)
         term = exp_series(a, terms)
         for pos in twisted:
             term = term * todd_factor_series(pairings[pos], coords[pos], terms)
@@ -263,7 +292,11 @@ def fixed_point_series(
             e = Fraction(sum(x * c for x, c in zip(phase, coords)))
             if e.denominator != 1:  # skip the phase 1: scaling costs a product per term
                 term = term.scale(root_of_unity(e))
-        total = term if total is None else total + term
+        orbit = LaurentSeries(
+            term.low,
+            [x.trace() * Fraction(len(units), euler_phi(x.conductor)) for x in term.coeffs],
+        )
+        total = orbit if total is None else total + orbit
     return total
 
 

@@ -53,6 +53,19 @@ def test_roots_sum_to_zero():
         assert acc.is_zero()
 
 
+def test_trace_is_the_sum_of_galois_conjugates():
+    # Tr(zeta_N^j) is the Ramanujan sum over the units k of Z/N
+    for n in range(1, 25):
+        units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+        for j in range(n):
+            acc = CyclotomicNumber.from_rational(0)
+            for k in units:
+                acc = acc + root_of_unity(Fraction(j * k, n))
+            assert root_of_unity(Fraction(j, n), n).trace() == acc.rational(), (j, n)
+        q = Fraction(-7, 3)
+        assert CyclotomicNumber(n, [q]).trace() == euler_phi(n) * q
+
+
 def test_conductor_promotion_consistency():
     a = root_of_unity(Fraction(1, 2))
     b = root_of_unity(Fraction(1, 2), 6)

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from multifan.catalog import (
     projective_plane_fan,
     weighted_p112_fan,
 )
+from multifan.cyclotomic import exp_series, root_of_unity, todd_factor_series
 from multifan.errors import NonGenericVector, PoleResidueNonzero
 from multifan.facering import (
     CohomologyQuotient,
@@ -16,6 +19,7 @@ from multifan.facering import (
     SupportClass,
     embed_weight,
     face_class,
+    fixed_point_series,
     graded_monomials,
     p_star,
     pushforward_eval,
@@ -23,7 +27,7 @@ from multifan.facering import (
     restrict_eval,
 )
 from multifan.fans import MultiFan
-from multifan.lattices import dot
+from multifan.lattices import dot, quotient_group
 
 
 def _quadrant():
@@ -199,3 +203,57 @@ def test_cohomology_reduce_is_linear_and_kills_relations():
     # distinct top cones represent the same cohomology class up to the
     # ideal, in line with the push-forward values
     assert q.reduce(a) == q.reduce(b)
+
+
+def _per_element_series(pairings, group, twisted, terms, a=0, phase=None):
+    """The fixed-point sum term by term over every element of the group."""
+    total = None
+    for _, coords in group:
+        term = exp_series(a, terms)
+        for pos in twisted:
+            term = term * todd_factor_series(pairings[pos], coords[pos], terms)
+        if phase is not None:
+            term = term.scale(root_of_unity(sum(x * c for x, c in zip(phase, coords))))
+        total = term if total is None else total + term
+    return total
+
+
+_KERNEL_GROUPS = {
+    "Z/4": [(1, 0), (1, 4)],
+    "Z/9": [(1, 0), (2, 9)],
+    "Z/12": [(1, 0), (5, 12)],
+    "Z/23": [(1, 0), (3, 23)],
+    "(Z/3)^2 rank 2": [(3, 0), (0, 3)],
+    "(Z/3)^2 rank 3": [(3, 0, 0), (0, 3, 0), (1, 1, 1)],
+    "Z/2 x Z/4": [(2, 0), (0, 4)],
+    "Z/2 x Z/12": [(2, 0), (0, 12)],
+}
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_GROUPS))
+def test_fixed_point_series_matches_the_per_element_sum(name):
+    rays = _KERNEL_GROUPS[name]
+    group = quotient_group(rays)
+    n = len(rays)
+    rng = random.Random(name)
+
+    def rational():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+
+    for size in range(n + 1):
+        for twisted in itertools.combinations(range(n), size):
+            for phase in (None, tuple(rng.randint(-3, 3) for _ in range(n))):
+                pairings = [rational() for _ in range(n)]
+                a = rational()
+                fast = fixed_point_series(pairings, group, twisted, 4, a, phase)
+                slow = _per_element_series(pairings, group, twisted, 4, a, phase)
+                assert (fast.low, fast.high) == (slow.low, slow.high)
+                for k in range(slow.low, slow.high + 1):
+                    assert fast.coefficient(k).conductor == 1
+                    assert fast.coefficient(k) == slow.coefficient(k), (twisted, phase, k)
+
+
+def test_fixed_point_series_rejects_a_fractional_phase():
+    group = quotient_group(_KERNEL_GROUPS["Z/4"])
+    with pytest.raises(ValueError):
+        fixed_point_series([1, 2], group, (0, 1), 3, phase=(Fraction(1, 2), 0))

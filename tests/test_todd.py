@@ -19,6 +19,7 @@ from multifan.errors import (
     RankMismatch,
     RigidityViolation,
 )
+from multifan import facering
 from multifan.facering import (
     EquivariantClass,
     SupportClass,
@@ -27,7 +28,12 @@ from multifan.facering import (
     pushforward_eval,
     ray_class,
 )
-from multifan.fans import MultiFan, random_complete_fan, sample_generic_vector
+from multifan.fans import (
+    MultiFan,
+    fan_degree,
+    random_complete_fan,
+    sample_generic_vector,
+)
 from multifan.lattices import rank
 from multifan.polytopes import MultiPolytope, count_bruteforce, count_formula, volume
 from multifan.todd import (
@@ -347,3 +353,39 @@ def test_rigidity_on_random_complete_fans():
         v = sample_generic_vector(fan, random.Random(seed + 100))
         series = todd_pushforward(fan, v)
         assert series.coefficient(0).rational() == todd_genus(fan)
+
+
+def _weighted_plane(d):
+    """P(1, 1, d): rays e1, e2, -e1 - d e2; the cone on e1 and the last ray has index d."""
+    return MultiFan(2, [(1, 0), (0, 1), (-1, -d)], [(0, 1), (1, 2), (0, 2)])
+
+
+@pytest.mark.parametrize("d", [9, 12])
+def test_todd_genus_of_weighted_planes(d):
+    fan = _weighted_plane(d)
+    assert todd_genus(fan) == fan_degree(fan) == 1
+
+
+@pytest.mark.parametrize("d", [9, 12])
+def test_ehrhart_of_weighted_planes_matches_brute_force(d):
+    fan = _weighted_plane(d)
+    k = next(k for k in range(1, d + 1) if SupportClass([k] * 3).is_T_Cartier(fan))
+    a = ehrhart_coefficients(fan, [k] * 3)
+    for nu in (1, 2):
+        predicted = sum(a[j] * nu ** (2 - j) for j in range(3))
+        assert predicted == count_bruteforce(MultiPolytope(fan, [nu * k] * 3)), nu
+
+
+def test_todd_genus_builds_one_term_per_cyclic_subgroup(monkeypatch):
+    # the index-97 cone has two cyclic subgroups, so 2 + 2 + 2 * 2 factors
+    # against 2 + 2 + 97 * 2 summed element by element
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return todd_factor_series(*args)
+
+    monkeypatch.setattr(facering, "todd_factor_series", counted)
+    fan = _weighted_plane(97)
+    assert todd_genus(fan) == fan_degree(fan) == 1
+    assert len(calls) <= 8
