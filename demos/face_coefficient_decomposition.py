@@ -39,7 +39,8 @@ for i in range(3):
 xi = SupportClass([1, 1, 1])
 print("\nresiduals of the degree-1 spanning family (must all be 0):")
 for cls in spanning_classes(fan, 1):
-    print("  residual:", face_decomposition_residual(fan, cls, xi, plane))
+    mu = {J: morelli_coefficient(fan, cls, J, plane) for J in faces}
+    print("  residual:", face_decomposition_residual(fan, cls, xi, mu))
 
 print("\nface refinement of the dilation coefficients:")
 a = ehrhart_coefficients(fan, [1, 1, 1])

@@ -124,16 +124,6 @@ def _class_label(cls) -> str:
     return label
 
 
-def _coefficient_value(c):
-    """Exact JSON value for a Laurent coefficient, rational or not."""
-    if c.is_rational():
-        return format_rational(c.rational())
-    return {
-        "conductor": c.conductor,
-        "coordinates": [format_rational(x) for x in c.coeffs],
-    }
-
-
 def _report(command: str, args_echo: dict, results: dict, checks: list, **extra) -> dict:
     report = {
         "command": command,
@@ -316,17 +306,14 @@ def cmd_morelli(args) -> dict:
         residuals = {}
         all_zero = True
         for label, cls in zip(labels, classes):
-            mu = {
-                _face_label(J): format_rational(morelli_coefficient(fan, cls, J, plane))
-                for J in faces
-            }
-            tables[label] = mu
+            mu = {J: morelli_coefficient(fan, cls, J, plane) for J in faces}
+            tables[label] = {_face_label(J): format_rational(m) for J, m in mu.items()}
             if args.cohomology:
-                res = cohomology_decomposition_residual(fan, cls, plane)
+                res = cohomology_decomposition_residual(fan, cls, mu)
                 residuals[label] = [format_rational(x) for x in res]
                 all_zero = all_zero and all(x == 0 for x in res)
             else:
-                res = face_decomposition_residual(fan, cls, xi, plane)
+                res = face_decomposition_residual(fan, cls, xi, mu)
                 residuals[label] = format_rational(res)
                 all_zero = all_zero and res == 0
         plane_reports.append(
@@ -410,7 +397,9 @@ def cmd_subdivide_check(args) -> dict:
             except MultiFanError:
                 continue
             break
-        coeffs = {str(m): _coefficient_value(res.coefficient(m)) for m in range(-n, high + 1)}
+        coeffs = {
+            str(m): format_rational(res.rational_coefficient(m)) for m in range(-n, high + 1)
+        }
         samples.append({"v": list(v), "residual": coeffs})
         checks.append(
             {"name": f"residual-zero-sample-{s}", "ok": res.is_zero_on(-n, high)}

@@ -12,7 +12,9 @@ Second, the decomposition machinery: every cohomology class of degree
 mu(x, J) that depend on a generic middle-dimensional plane E.  The
 coefficient is a ratio of wedge pairings against the Pluecker vector
 of E, and equally a ratio of values on the line where E meets the
-cone; both readings are computed and compared on every call.
+cone.  The sampled plane keeps both readings of every face, and each
+coefficient is computed from both and compared.  The residuals of the
+decomposition take the table of coefficients of one class.
 
 Third, Todd series of single cones and their additivity under star
 subdivisions, checked coefficient by coefficient on a Laurent window.
@@ -23,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 # todd_factor_series stays importable: perfbench/test_smoke.py traces it here
@@ -98,7 +100,10 @@ class GenericPlane:
     `basis` spans E; `wedge` is the Pluecker coordinate vector of the
     basis; `certificates` names the genericity checks the plane passed
     when it was sampled, and `rejected` counts the candidates discarded
-    before this one was found.
+    before this one was found.  For every face J of size k of the fan it
+    was sampled for, `lines[J]` generates E meet span(J) and
+    `pairings[J][i]` is the wedge pairing <f^J(x_i), w_E> of ray i
+    (zero off J).
     """
 
     k: int
@@ -106,6 +111,8 @@ class GenericPlane:
     wedge: tuple[Fraction, ...]
     certificates: tuple[str, ...] = ()
     rejected: int = 0
+    lines: dict = field(default_factory=dict, compare=False)
+    pairings: dict = field(default_factory=dict, compare=False)
 
 
 def face_wedge(fan: MultiFan, J, i: int, omega_sign: int = 1):
@@ -115,7 +122,8 @@ def face_wedge(fan: MultiFan, J, i: int, omega_sign: int = 1):
     checked to be independent of I.  The result is zero unless i lies in J:
     for i outside J the covector u_i^I annihilates the whole span of J
     and is swallowed by omega_J.  With omega_sign = -1 the orientation
-    of omega_J is reversed (a global sign on all coordinates).
+    of omega_J is reversed (a global sign on all coordinates; for a top
+    face the empty wedge 1 becomes -1).
     """
     J = tuple(sorted(J))
     n = fan.rank
@@ -124,12 +132,12 @@ def face_wedge(fan: MultiFan, J, i: int, omega_sign: int = 1):
         omega = [list(r) for r in annihilator_basis([fan.edge(j) for j in J]).vectors]
     else:
         raise RankMismatch("face wedges need a nonempty face")
-    if omega_sign < 0 and omega:
-        omega[0] = [-x for x in omega[0]]
     coords = None
     for I in fan.cones_containing(J):
         if i in I:
             u = fan.dual_basis_of(I)[I.index(i)]
+            if omega_sign < 0:  # u ^ (-omega_J) = (-u) ^ omega_J
+                u = [-x for x in u]
             w = wedge_coordinates([u] + omega, n)
         else:
             w = tuple([Fraction(0)] * math.comb(n, m))
@@ -142,20 +150,32 @@ def face_wedge(fan: MultiFan, J, i: int, omega_sign: int = 1):
 # ---------------------------------------------------------------------------
 # generic plane sampling with explicit certificates
 
+_CERTIFICATES = (
+    "rank-one-face-intersections",
+    "nonzero-line-pairings",
+    "nonzero-wedge-pairings",
+    "face-covector-surjectivity",
+)
 
-def _plane_certificates(fan: MultiFan, k: int, basis, wedge):
-    """Run all genericity checks; return their names, or None on failure."""
+
+def _plane_readings(fan: MultiFan, k: int, basis, wedge):
+    """Run all genericity checks; return the per-face readings, or None.
+
+    The readings are the line E meet span(J) and the wedge pairings of
+    every ray, for each face J of size k.
+    """
+    lines, pairings = {}, {}
     for J in fan.faces_of_card(k):
-        edges = [fan.edge(j) for j in J]
-        line = plane_line_intersection(basis, edges)
+        line = plane_line_intersection(basis, [fan.edge(j) for j in J])
         I0 = fan.cones_containing(J)[0]
         duals = fan.dual_basis_of(I0)
         for pos, i in enumerate(I0):
             if i in J and dot(duals[pos], line) == 0:
                 return None
-        for j in J:
-            if wedge_pair(face_wedge(fan, J, j), wedge) == 0:
-                return None
+        row = tuple(wedge_pair(face_wedge(fan, J, i), wedge) for i in range(fan.n_rays))
+        if any(row[j] == 0 for j in J):
+            return None
+        lines[J], pairings[J] = line, row
     # the face covector spaces must still surject onto the dual of E
     for card in range(k):
         for K in fan.faces_of_card(card):
@@ -166,12 +186,7 @@ def _plane_certificates(fan: MultiFan, k: int, basis, wedge):
             mat = [[dot(r, w) for w in basis] for r in rows]
             if rank(mat) < len(basis):
                 return None
-    return (
-        "rank-one-face-intersections",
-        "nonzero-line-pairings",
-        "nonzero-wedge-pairings",
-        "face-covector-surjectivity",
-    )
+    return lines, pairings
 
 
 def sample_generic_plane(
@@ -198,18 +213,25 @@ def sample_generic_plane(
             continue
         wedge = wedge_coordinates(basis, n)
         try:
-            certs = _plane_certificates(fan, k, basis, wedge)
+            readings = _plane_readings(fan, k, basis, wedge)
         except NonGenericPlane:
+            readings = None
+        if readings is None:
             rejected += 1
             continue
-        if certs is None:
-            rejected += 1
-            continue
-        return GenericPlane(k, basis, wedge, certs, rejected)
+        lines, pairings = readings
+        return GenericPlane(k, basis, wedge, _CERTIFICATES, rejected, lines, pairings)
 
 
 # ---------------------------------------------------------------------------
 # the decomposition coefficients
+
+
+def _face_readings(plane: GenericPlane, J):
+    """The line and the ray pairings the plane keeps for the face J."""
+    if J not in plane.lines:
+        raise RankMismatch(f"{J} is not a face of the size {plane.k} the plane was sampled for")
+    return plane.lines[J], plane.pairings[J]
 
 
 def morelli_coefficient(
@@ -227,26 +249,21 @@ def morelli_coefficient(
     plane and forms prod <f^J(x_i), w_E>^a_i / prod_j <f^J_j, w_E>.
     The line path evaluates the restriction of x on the generator of
     E meet span(J) and divides by the product of the covector values
-    on that generator.  Flipping the orientation of omega_J or the
-    sign of the generator changes numerator and denominator by the
-    same factor, so the ratio is unchanged.
+    on that generator.  Both read the pairings and the line the plane
+    keeps for J.  Flipping the orientation of omega_J negates every
+    pairing and flipping the generator negates the line; either changes
+    numerator and denominator by the same factor, so the ratio is
+    unchanged.
     """
     J = tuple(sorted(int(j) for j in J))
     k = len(J)
     if cls.homogeneous_degree() != k or k == 0:
         raise RankMismatch("class degree must match the nonzero face size")
-    rays = sorted(
-        {i for expo in cls.terms for i, e in enumerate(expo) if e} | set(J)
-    )
-    pairs = {
-        i: wedge_pair(face_wedge(fan, J, i, omega_sign), plane.wedge)
-        for i in rays
-    }
-    den_a = Fraction(1)
-    for j in J:
-        den_a *= pairs[j]
-    if den_a == 0:
-        raise NonGenericPlane(f"plane pairs to zero on the face {J}")
+    line, pairs = _face_readings(plane, J)
+    if omega_sign < 0:
+        pairs = [-x for x in pairs]
+    if line_sign < 0:
+        line = tuple(-x for x in line)
     num_a = Fraction(0)
     for expo, coeff in cls.terms.items():
         val = coeff
@@ -254,11 +271,8 @@ def morelli_coefficient(
             if e:
                 val *= pairs[i] ** e
         num_a += val
-    value = num_a / den_a
+    value = num_a / math.prod(pairs[j] for j in J)
 
-    line = plane_line_intersection(plane.basis, [fan.edge(j) for j in J])
-    if line_sign < 0:
-        line = tuple(-x for x in line)
     num_b = None
     den_b = None
     for I in fan.cones_containing(J):
@@ -271,8 +285,6 @@ def morelli_coefficient(
         if num_b is not None and (num_b, den_b) != (val, d):
             raise CrossCheckFailed(f"line values on {J} depend on the cone {I}")
         num_b, den_b = val, d
-    if den_b == 0:
-        raise NonGenericPlane(f"intersection line is orthogonal to a covector of {J}")
     if value != num_b / den_b:
         raise CrossCheckFailed(f"mu({J}): wedge {value} != line {num_b / den_b}")
     return value
@@ -295,16 +307,12 @@ def todd_face_coefficient(fan: MultiFan, J, plane: GenericPlane | None = None) -
         return Fraction(1)
     if plane is None:
         raise NonGenericPlane("nonempty faces need a generic plane")
-    cs_wedge = [wedge_pair(face_wedge(fan, J, j), plane.wedge) for j in J]
-    line = plane_line_intersection(plane.basis, [fan.edge(j) for j in J])
+    line, pairs = _face_readings(plane, J)
     I0 = fan.cones_containing(J)[0]
     duals = dict(zip(I0, fan.dual_basis_of(I0)))
-    cs_line = [dot(duals[j], line) for j in J]
     group = fan.group_of(J)
     values = []
-    for cs in (cs_wedge, cs_line):
-        if any(c == 0 for c in cs):
-            raise NonGenericPlane(f"plane degenerates on the face {J}")
+    for cs in ([pairs[j] for j in J], [dot(duals[j], line) for j in J]):
         series = fixed_point_series(cs, group, range(len(J)), fan.rank + 3)
         values.append((series.coefficient(0) * Fraction(1, group.order)).rational())
     if values[0] != values[1]:
@@ -384,47 +392,42 @@ def ehrhart_coefficients(fan: MultiFan, support) -> tuple[Fraction, ...]:
 # residuals of the decomposition statements
 
 
-def face_decomposition_residual(
-    fan: MultiFan, cls: EquivariantClass, support, plane: GenericPlane
-) -> Fraction:
-    """p_*(e^xi x) minus its decomposition over the faces of size k.
-
-    Exactly zero for every complete multi-fan, homogeneous class and
-    generic plane.
-    """
+def _decomposition(fan: MultiFan, cls: EquivariantClass, mu) -> EquivariantClass:
+    """D = sum_J mu_J x_J, for a class of degree 1..rank on a complete fan."""
     k = cls.homogeneous_degree()
     if not k or not 1 <= k <= fan.rank:
         raise RankMismatch("class must be homogeneous of degree 1..rank")
+    if not is_complete(fan):
+        raise InvalidFan("the face decomposition needs a complete multi-fan")
+    return sum((face_class(fan, J) * m for J, m in mu.items()), EquivariantClass.zero(fan))
+
+
+def face_decomposition_residual(
+    fan: MultiFan, cls: EquivariantClass, support, mu
+) -> Fraction:
+    """p_*(e^xi x) minus p_*(e^xi D), where D = sum_J mu_J x_J.
+
+    `mu` maps the faces J of size k to the coefficients mu(x, J) read
+    off one generic plane.  Exactly zero for every complete multi-fan,
+    homogeneous class and generic plane.
+    """
     if not isinstance(support, SupportClass):
         support = SupportClass(support)
-    lhs = p_star(fan, cls, support=support)
-    rhs = Fraction(0)
-    for J in fan.faces_of_card(k):
-        mu = morelli_coefficient(fan, cls, J, plane)
-        if mu:
-            rhs += mu * p_star(fan, face_class(fan, J), support=support)
-    return lhs - rhs
+    D = _decomposition(fan, cls, mu)
+    return p_star(fan, cls, support=support) - p_star(fan, D, support=support)
 
 
 def cohomology_decomposition_residual(
-    fan: MultiFan, cls: EquivariantClass, plane: GenericPlane
+    fan: MultiFan, cls: EquivariantClass, mu
 ) -> tuple[Fraction, ...]:
-    """Coordinates of x - sum_J mu(x, J) x_J in the cohomology quotient.
+    """Coordinates of x - sum_J mu_J x_J in the cohomology quotient.
 
-    Zero for fans of varieties whose rational cohomology is generated
-    in degree two (for example smooth projective toric surfaces).
+    `mu` is the table of face_decomposition_residual.  Zero for fans of
+    varieties whose rational cohomology is generated in degree two (for
+    example smooth projective toric surfaces).
     """
-    k = cls.homogeneous_degree()
-    if not k or not 1 <= k <= fan.rank:
-        raise RankMismatch("class must be homogeneous of degree 1..rank")
-    quotient = CohomologyQuotient(fan, k)
-    residual = list(quotient.reduce(cls))
-    for J in fan.faces_of_card(k):
-        mu = morelli_coefficient(fan, cls, J, plane)
-        if mu:
-            reduced = quotient.reduce(face_class(fan, J))
-            residual = [r - mu * x for r, x in zip(residual, reduced)]
-    return tuple(residual)
+    D = _decomposition(fan, cls, mu)
+    return CohomologyQuotient(fan, cls.homogeneous_degree()).reduce(cls - D)
 
 
 def spanning_classes(fan: MultiFan, k: int) -> list[EquivariantClass]:

@@ -155,11 +155,13 @@ def test_criterion_04_face_decomposition_identity():
                 )
             for k in range(1, fan.rank + 1):
                 classes = spanning_classes(fan, k)
+                faces = fan.faces_of_card(k)
                 for p in range(10):
                     plane = sample_generic_plane(fan, k, rng)
-                    for xi in supports:
-                        for cls in classes:
-                            assert face_decomposition_residual(fan, cls, xi, plane) == 0
+                    for cls in classes:
+                        mu = {J: morelli_coefficient(fan, cls, J, plane) for J in faces}
+                        for xi in supports:
+                            assert face_decomposition_residual(fan, cls, xi, mu) == 0
 
 
 def test_criterion_05_coefficient_decomposition_of_counts():
@@ -217,10 +219,15 @@ def test_criterion_07_edge_multiplier_independence():
             rng = random.Random(0x2D2)
             for k in range(1, fan.rank + 1):
                 for _ in range(3):
+                    # the same plane, sampled for each fan, keeps that fan's readings
+                    twin = random.Random()
+                    twin.setstate(rng.getstate())
                     E = sample_generic_plane(fan, k, rng)
+                    E2 = sample_generic_plane(doubled, k, twin)
+                    assert E2.basis == E.basis
                     for J in fan.faces_of_card(k):
                         assert todd_face_coefficient(fan, J, E) == todd_face_coefficient(
-                            doubled, J, E
+                            doubled, J, E2
                         )
             # the same geometric polytope: walls <u, 2 v_i> = 2 d_i
             supports = [[1] * fan.n_rays]
@@ -279,7 +286,8 @@ def test_criterion_09_cohomology_decomposition():
                 for _ in range(5):
                     E = sample_generic_plane(fan, k, rng)
                     for cls in spanning_classes(fan, k):
-                        res = cohomology_decomposition_residual(fan, cls, E)
+                        mu = {J: morelli_coefficient(fan, cls, J, E) for J in fan.faces_of_card(k)}
+                        res = cohomology_decomposition_residual(fan, cls, mu)
                         assert all(x == 0 for x in res)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -160,6 +161,54 @@ def test_morelli_reports_are_reproducible(capsys, square):
     assert first == second
     _, third, _ = _run(capsys, ["morelli", square, "--k", "1", "--planes", "3", "--seed", "8"])
     assert third != first
+
+
+def test_morelli_refuses_incomplete_fans(capsys, tmp_path):
+    path = tmp_path / "half.json"
+    path.write_text(_HALF_LINE)
+    for extra in ([], ["--cohomology"]):
+        code, out, err = _run(capsys, ["morelli", str(path), "--k", "1", "--xi", "1", *extra])
+        assert code == 2
+        assert out == ""
+        assert "complete multi-fan" in err
+
+
+# sha256 of json.dumps(report["results"], sort_keys=True), pinned so that a
+# change to how the coefficients or residuals are computed keeps every number
+_MORELLI_GOLDEN = [
+    ("square", ["--k", "1", "--xi", "unit", "--seed", "1"],
+     "1ce35b523dda1cc2f162aa267b30bad668deee80b842670f88e8762c6386e5b5"),
+    ("square", ["--k", "2", "--xi", "unit", "--seed", "2"],
+     "462780a064cd510a98388c752fa0fbbc8f3dee384fabc95a4fff007b8b155a5c"),
+    ("square", ["--k", "1", "--xs", "faces", "--seed", "11"],
+     "02ca62374f149e342243efa7522a827a5531b8c795a13716fb4a515958dabd00"),
+    ("square", ["--k", "2", "--xs", "faces", "--seed", "12"],
+     "a38ebe51d7e4f84c48743197b90b7ae74f8d570d44e59ca27751834514af6667"),
+    ("square", ["--k", "1", "--cohomology", "--seed", "21"],
+     "071ef42a8ec28546ff48abee1f05820afb84a561b46a5804c7e54139e89d4d5c"),
+    ("square", ["--k", "2", "--cohomology", "--seed", "22"],
+     "5d29fc2c640a8de56e04190e7cbf16bb68b5ea4cb2b96ea4ed80844e1e694573"),
+    ("weighted", ["--k", "1", "--xi", "unit", "--seed", "1"],
+     "d8835e8432c58b3db3be5d3dd3a7b77d99616653e3b3e044618786e3b8d87cff"),
+    ("weighted", ["--k", "2", "--xi", "unit", "--seed", "2"],
+     "0c8f460d6bcd700fc74019bd36a3885f06fdc2b4d75472bb97a1762a72422b15"),
+    ("weighted", ["--k", "1", "--xs", "faces", "--seed", "11"],
+     "53fecf445c7c1972f15cceabf39c8c363660c9cc181f7ff3ed033cc53091580e"),
+    ("weighted", ["--k", "2", "--xs", "faces", "--seed", "12"],
+     "bb6d6b589164652652124320fbf8d3b812a49cb6eca06593c08ab2648a2d8b0f"),
+    ("weighted", ["--k", "1", "--cohomology", "--seed", "21"],
+     "65acb895dd5ac23067d915b0a9d9d82ddd42e9ada0cea2927956a1e3311b0219"),
+    ("weighted", ["--k", "2", "--cohomology", "--seed", "22"],
+     "4ea473af6176a38fcb696c7c80ee416b854eb52395b68c08b5718223d8d0c758"),
+]
+
+
+@pytest.mark.parametrize("fixture, args, digest", _MORELLI_GOLDEN)
+def test_morelli_golden_reports(capsys, request, fixture, args, digest):
+    path = request.getfixturevalue(fixture)
+    report = _report(capsys, ["morelli", path, "--planes", "2", *args])
+    text = json.dumps(report["results"], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_subdivide_check_document_mode(capsys, square):

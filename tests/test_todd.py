@@ -13,6 +13,7 @@ from multifan.catalog import (
 )
 from multifan.cyclotomic import todd_factor_series
 from multifan.errors import (
+    InvalidFan,
     NonGenericPlane,
     NonGenericVector,
     NotTCartier,
@@ -31,6 +32,7 @@ from multifan.facering import (
 from multifan.fans import (
     MultiFan,
     fan_degree,
+    projective_space_fan,
     random_complete_fan,
     sample_generic_vector,
 )
@@ -246,9 +248,11 @@ def test_mu_k_ignores_edge_multipliers():
         assert todd_genus(doubled) == todd_genus(fan)
         for k in (1, 2):
             E = sample_generic_plane(fan, k, random.Random(41 + k))
+            E2 = sample_generic_plane(doubled, k, random.Random(41 + k))
+            assert E2.basis == E.basis
             for J in fan.faces_of_card(k):
                 assert todd_face_coefficient(fan, J, E) == todd_face_coefficient(
-                    doubled, J, E
+                    doubled, J, E2
                 )
 
 
@@ -264,6 +268,10 @@ def test_spanning_family_spans_each_degree():
             assert rank(vectors) == len(monomials), (make.__name__, k)
 
 
+def _mu_table(fan, cls, plane):
+    return {J: morelli_coefficient(fan, cls, J, plane) for J in fan.faces_of_card(plane.k)}
+
+
 def test_face_decomposition_residual_is_zero():
     for make in (projective_plane_fan, cross_fan, weighted_p112_fan, hirzebruch_fan):
         fan = make()
@@ -271,7 +279,7 @@ def test_face_decomposition_residual_is_zero():
         for k in (1, 2):
             E = sample_generic_plane(fan, k, random.Random(10 * k))
             for cls in spanning_classes(fan, k):
-                assert face_decomposition_residual(fan, cls, xi, E) == 0
+                assert face_decomposition_residual(fan, cls, xi, _mu_table(fan, cls, E)) == 0
 
 
 def test_face_decomposition_residual_many_planes():
@@ -281,7 +289,7 @@ def test_face_decomposition_residual_many_planes():
     rng = random.Random(0xBEEF)
     for _ in range(5):
         E = sample_generic_plane(fan, 1, rng)
-        assert face_decomposition_residual(fan, cls, xi, E) == 0
+        assert face_decomposition_residual(fan, cls, xi, _mu_table(fan, cls, E)) == 0
 
 
 def test_cohomology_decomposition_residual_is_zero():
@@ -292,8 +300,41 @@ def test_cohomology_decomposition_residual_is_zero():
         for k in (1, 2):
             E = sample_generic_plane(fan, k, random.Random(5 * k + 1))
             for cls in spanning_classes(fan, k):
-                res = cohomology_decomposition_residual(fan, cls, E)
+                res = cohomology_decomposition_residual(fan, cls, _mu_table(fan, cls, E))
                 assert all(x == 0 for x in res)
+
+
+def test_decomposition_residuals_refuse_incomplete_fans():
+    # a single ray in rank 1: a plane can be sampled and mu read off it,
+    # but the push-forward identity only holds on complete fans
+    fan = MultiFan(1, [(1,)], [(0,)])
+    E = sample_generic_plane(fan, 1, random.Random(1))
+    cls = ray_class(fan, 0)
+    mu = _mu_table(fan, cls, E)
+    assert mu == {(0,): 1}
+    with pytest.raises(InvalidFan):
+        face_decomposition_residual(fan, cls, [1], mu)
+    with pytest.raises(InvalidFan):
+        cohomology_decomposition_residual(fan, cls, mu)
+
+
+def test_coefficients_reject_a_plane_of_the_wrong_size():
+    fan = projective_space_fan(3)
+    E = sample_generic_plane(fan, 2, random.Random(4))
+    J = fan.faces_of_card(3)[0]
+    with pytest.raises(RankMismatch):
+        morelli_coefficient(fan, face_class(fan, J), J, E)
+    with pytest.raises(RankMismatch):
+        todd_face_coefficient(fan, J, E)
+
+
+def test_face_wedge_orientation_flip_negates_every_coordinate():
+    fan = projective_space_fan(3)
+    for k in (1, 2, 3):
+        for J in fan.faces_of_card(k):
+            for i in range(fan.n_rays):
+                flipped = face_wedge(fan, J, i, omega_sign=-1)
+                assert flipped == tuple(-c for c in face_wedge(fan, J, i)), (J, i)
 
 
 def test_self_intersections_via_pushforward():
