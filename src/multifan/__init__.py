@@ -26,6 +26,7 @@ from .cyclotomic import (
     todd_factor_series,
 )
 from .errors import (
+    BudgetExceeded,
     ConductorMismatch,
     CrossCheckFailed,
     DependentRays,

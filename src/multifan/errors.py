@@ -78,5 +78,10 @@ class CrossCheckFailed(MultiFanError):
     invariant of a computation fails."""
 
 
+class BudgetExceeded(MultiFanError):
+    """Input would take longer than a fixed work budget allows; the
+    message names the size and the budget."""
+
+
 class FanDocumentError(MultiFanError):
     """Fan document cannot be parsed; message carries the location."""

@@ -109,6 +109,14 @@ def test_count_and_face_count(capsys, square):
     assert report["results"]["formula"] == 12
 
 
+def test_count_refuses_a_brute_force_box_over_the_budget(capsys, square):
+    # the square [-600, 600]^2 needs a box of 1203^2 points
+    code, out, err = _run(capsys, ["count", square, "600,600,600,600"])
+    assert code == 2
+    assert out == ""
+    assert "box of 1447209 points exceeds the budget of 1000000 points" in err
+
+
 def test_volume(capsys, square):
     report = _report(capsys, ["volume", square, "unit"])
     assert report["results"]["volume"] == 4

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from multifan.catalog import (
 )
 from multifan import polytopes
 from multifan.errors import (
+    BudgetExceeded,
     CrossCheckFailed,
     FaceNotInFan,
     InvalidFan,
@@ -19,9 +22,10 @@ from multifan.errors import (
     RankMismatch,
 )
 from multifan.facering import SupportClass
-from multifan.fans import MultiFan, random_complete_fan
+from multifan.fans import MultiFan, random_complete_fan, sample_generic_vector
 from multifan.lattices import dot
 from multifan.polytopes import (
+    BRUTE_FORCE_BUDGET,
     MultiPolytope,
     count_bruteforce,
     count_face,
@@ -225,12 +229,146 @@ def test_count_face_raises_when_the_routes_disagree(monkeypatch):
         count_face(_square(), (0,))
 
 
-@pytest.mark.xfail(strict=True, raises=CrossCheckFailed,
-                   reason="vertex phase has the wrong sign for |H| >= 3")
 def test_count_formula_on_a_non_cartier_order_five_cone():
+    # the vertex of the order five cone is non-integral, so its phase
+    # e^(-2 pi i <d, h>) is a nontrivial character; with the opposite
+    # sign the character sum is not an integer
     fan = MultiFan(2, [(1, 0), (0, 1), (-1, -5)], [(0, 1), (1, 2), (0, 2)])
     P = MultiPolytope(fan, [1, 1, 1])
     assert count_formula(P) == count_bruteforce(P) == 11
+
+
+def test_count_formula_on_a_random_fan_with_a_unit_support():
+    fan = random_complete_fan(1, 2, 10)
+    P = MultiPolytope(fan, _unit_supports(fan))
+    assert count_formula(P) == count_bruteforce(P) == -9
+
+
+def _draw_weighted_fan(rng, ranks):
+    """A complete fan of one of the ranks with edge multipliers in {1, 2},
+    one weight in {1, -1, 2} on every cone, supports in {-1, ..., 2} and
+    a nonempty face."""
+    rank = rng.choice(ranks)
+    steps = {1: 0, 2: rng.randint(0, 5), 3: rng.randint(0, 3), 4: rng.randint(0, 1)}[rank]
+    base = random_complete_fan(rng.randrange(10**6), rank, steps)
+    multipliers = [rng.choice((1, 2)) for _ in base.rays]
+    weights = [rng.choice((1, -1, 2))] * len(base.cones)
+    fan = MultiFan(rank, base.rays, base.cones, weights, multipliers)
+    support = [rng.randint(-1, 2) for _ in base.rays]
+    face = rng.choice(sorted(tuple(sorted(f)) for f in fan.faces if f))
+    return MultiPolytope(fan, support), face
+
+
+def _has_fractional_vertex_on_a_large_cone(P):
+    return any(
+        any(x.denominator != 1 for x in u) and P.fan.group_of(I).order >= 3
+        for I, u in P.vertices.items()
+    )
+
+
+def test_count_routes_agree_on_random_weighted_fans():
+    rng = random.Random(0x5EED)
+    ranks, weights, fractional = set(), set(), 0
+    for _ in range(40):
+        P, face = _draw_weighted_fan(rng, (1, 2, 3, 4))
+        fan = P.fan
+        assert count_formula(P) == count_bruteforce(P), (fan, P)
+        face_brute = count_bruteforce(MultiPolytope(fan, P.support, face))
+        assert count_face(P, face) == face_brute, (fan, P, face)
+        ranks.add(fan.rank)
+        weights.add(fan.weights[0])
+        fractional += _has_fractional_vertex_on_a_large_cone(P)
+    # the sweep must reach every rank and weight, and vertex phases that
+    # are nontrivial characters of groups of order at least three
+    assert ranks == {1, 2, 3, 4} and weights == {1, -1, 2}
+    assert fractional >= 5
+
+
+def _reference_dh_evaluate(P: MultiPolytope, u, v=None) -> int:
+    # reference: the per-point Fraction evaluation the integer oracle replaced
+    fan = P.fan
+    u = tuple(Fraction(x) for x in u)
+    if len(u) != fan.rank:
+        raise RankMismatch("point rank mismatch")
+    d = P.support.values
+    for j in P.face:
+        if dot(u, fan.edge(j)) != d[j]:
+            raise ValueError(f"point off the face subspace (wall {j})")
+    in_face = set(P.face)
+    for i in range(fan.n_rays):
+        if i not in in_face and dot(u, fan.edge(i)) == d[i]:
+            raise PointOnWall(f"point lies on wall {i}")
+    if v is None:
+        v = sample_generic_vector(fan, random.Random(0xD11))
+    total = 0
+    for I in P.top_cones():
+        duals = fan.dual_basis_of(I)
+        flips = 0
+        inside = True
+        for pos, i in enumerate(I):
+            if i in in_face:
+                continue
+            s = dot(duals[pos], v)
+            if s == 0:
+                raise NonGenericVector(f"{v} pairs to zero with a covector of {I}")
+            lam = dot(u, fan.edge(i)) - d[i]
+            if s > 0:
+                flips += 1
+            else:
+                lam = -lam
+            if lam < 0:
+                inside = False
+        if inside:
+            total += (-1) ** flips * fan.weight(I)
+    return total
+
+
+def _reference_count_bruteforce(P: MultiPolytope) -> int:
+    # reference: the enumerator over _reference_dh_evaluate, point by point
+    fan = P.fan
+    if any(x.denominator != 1 for x in P.support.values):
+        raise ValueError("brute-force count needs integer support numbers")
+    in_face = set(P.face)
+    shifted = SupportClass(
+        [
+            x if i in in_face else x + Fraction(1, 2)
+            for i, x in enumerate(P.support.values)
+        ]
+    )
+    Q = MultiPolytope(fan, shifted, P.face)
+    verts = list(Q.vertices.values())
+    lo = [math.ceil(min(vt[c] for vt in verts) - 1) for c in range(fan.rank)]
+    hi = [math.floor(max(vt[c] for vt in verts) + 1) for c in range(fan.rank)]
+    v = sample_generic_vector(fan, random.Random(0xB0C5))
+    total = 0
+    for point in itertools.product(
+        *(range(a, b + 1) for a, b in zip(lo, hi))
+    ):
+        if any(dot(point, fan.edge(j)) != P.support.values[j] for j in P.face):
+            continue
+        value = _reference_dh_evaluate(Q, point, v)
+        if value and any(x == a or x == b for x, a, b in zip(point, lo, hi)):
+            raise CrossCheckFailed(f"value {value} on the box shell at {point}")
+        total += value
+    return total
+
+
+def test_bruteforce_matches_the_per_point_reference():
+    rng = random.Random(0x0AC1E)
+    for _ in range(16):
+        P, face = _draw_weighted_fan(rng, (2, 3))
+        for Q in (P, MultiPolytope(P.fan, P.support, face)):
+            assert count_bruteforce(Q) == _reference_count_bruteforce(Q), (Q.fan, Q)
+
+
+def test_bruteforce_refuses_a_box_over_the_budget():
+    # the shifted triangle of P^2 dilated by 400 spans a box of
+    # 1204 x 1204 points, about 1.4 budgets, and is refused at once
+    P = MultiPolytope(projective_plane_fan(), [400, 400, 400])
+    with pytest.raises(BudgetExceeded, match=f"1449616 points .* {BRUTE_FORCE_BUDGET}"):
+        count_bruteforce(P)
+    # an edge of it lies in a box of 3 x 1204 points, well inside
+    assert count_bruteforce(MultiPolytope(P.fan, P.support, (0,))) == 1201
 
 
 def test_count_face_rejects_bad_input():
