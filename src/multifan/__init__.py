@@ -94,6 +94,7 @@ from .lattices import (
     primitive_vector,
     quotient_group,
     rank,
+    saturated_dual_basis,
     smith_normal_form,
     solve_in_span,
 )

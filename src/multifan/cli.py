@@ -12,6 +12,7 @@ the input could not be processed at all.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -417,7 +418,9 @@ def cmd_subdivide_check(args) -> dict:
 # argument parsing
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="multifan",
         description="Exact computations on simplicial multi-fans and multi-polytopes.",
@@ -426,31 +429,26 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="parse a fan document and report its structure")
     p.add_argument("file")
-    p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("ehrhart", help="lattice-count coefficients of a support class")
     p.add_argument("file")
     p.add_argument("support", help="support name from the document, or inline d1,d2,...")
     p.add_argument("--nu-check", type=int, default=0, metavar="N",
                    help="cross-check counts for dilations 1..N")
-    p.set_defaults(handler=cmd_ehrhart)
 
     p = sub.add_parser("count", help="count lattice points, formula against brute force")
     p.add_argument("file")
     p.add_argument("support")
     p.add_argument("--face", default="", help="1-based ray indices, comma separated")
-    p.set_defaults(handler=cmd_count)
 
     p = sub.add_parser("volume", help="volume of a multi-polytope or one of its faces")
     p.add_argument("file")
     p.add_argument("support")
     p.add_argument("--face", default="")
-    p.set_defaults(handler=cmd_volume)
 
     p = sub.add_parser("todd", help="Todd genus with the rigidity verdict")
     p.add_argument("file")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=cmd_todd)
 
     p = sub.add_parser("morelli", help="decomposition coefficients and residual checks")
     p.add_argument("file")
@@ -462,7 +460,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--cohomology", action="store_true",
                    help="check the decomposition on ordinary cohomology instead")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=cmd_morelli)
 
     p = sub.add_parser("subdivide-check",
                        help="additivity of the cone Todd series under star subdivision")
@@ -472,15 +469,16 @@ def _parser() -> argparse.ArgumentParser:
                    help="check residual orders up to t^M (default: the rank)")
     p.add_argument("--samples", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=cmd_subdivide_check)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # looked up by name on every call, so a replaced cmd_* function is the one that runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        report = args.handler(args)
+        report = handler(args)
     except (FanDocumentError, MultiFanError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

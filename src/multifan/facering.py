@@ -5,13 +5,14 @@ ray, modulo the relations x_S = 0 whenever the index set S is not a
 face.  Restriction to a top cone I sends x_i to the dual covector
 u_i^I for i in I and to zero otherwise; the push-forward to a point is
 computed by the fixed-point sum after substituting u -> t<u, v> for a
-generic vector v.  The sums over pairs (I, h) of a top cone and an
-element of its group behind the Todd genus, the lattice point counts and
-the face weights share one kernel, `fixed_point_series`.  The terms of h
-and kh, k prime to the order of h, are Galois conjugates, so the kernel
-builds one term per cyclic subgroup of the group and adds its trace down
-to Q: the cost grows with the number of cyclic subgroups, not with the
-cone index, and every sum it returns is rational.
+generic vector v.  The sums over pairs (I, h) of a cone and an element
+of its group behind the Todd genus, the lattice point counts and the
+face weights share one kernel, `fixed_point_series`.  It never visits
+the group: averaging the characters over it leaves a rational sum over
+the lattice points of the fundamental parallelepiped of the vertex cone
+(Brion), walked in integers, so its cost grows with the number of those
+points, prod m_i / |H| for the orders m_i of the dual covectors, and
+every sum it returns is rational.
 """
 
 from __future__ import annotations
@@ -20,24 +21,18 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import factorial, lcm, prod
 
-from .cyclotomic import (
-    LaurentSeries,
-    common_conductor,
-    euler_phi,
-    exp_series,
-    root_of_unity,
-    todd_factor_series,
-)
+from .cyclotomic import LaurentSeries, _todd_unit_coeffs
 from .errors import (
     CrossCheckFailed,
+    DivisionByZero,
     NonGenericVector,
     PoleResidueNonzero,
     RankMismatch,
 )
 from .fans import MultiFan, sample_generic_vector
-from .lattices import QVec, dot, rref
+from .lattices import QVec, dot, hermite_normal_form, matrix_inverse, rref
 
 
 class EquivariantClass:
@@ -255,49 +250,93 @@ def generic_pairings(duals, v) -> list[Fraction]:
 
 
 def fixed_point_series(
-    pairings, group, twisted, terms: int, a=0, phase=None
+    pairings, duals, twisted, terms: int, a=0, phase=None
 ) -> LaurentSeries:
-    """Sum over the elements h of a cone group of
+    """Average over the elements h of a cone group H of
 
         e^(2 pi i <phase, h>) exp(a t)
             prod_{pos in twisted} 1/(1 - chi_pos(h) e^(-c_pos t))
 
-    with c_pos = pairings[pos] and the characters chi_pos(h) = e^(2 pi i h_pos)
-    read off the coordinates of h; callers scale the sum by w(I)/|H_I|.
+    with c_pos = pairings[pos] and the characters chi_pos(h) =
+    e^(2 pi i <u_pos, h>), where u_pos = duals[pos] are the covectors dual
+    to the edges of the cone, written in a basis of the lattice of its
+    span (so its dual lattice is Z^k); callers scale the average by w(I).
     The phase must be an integral covector.
 
-    One term is built per cyclic subgroup.  If h has order m and k is
-    prime to m, every character of kh is the k-th power of that of h, so
-    the term of kh is the Galois conjugate sigma_k of the term of h (this
-    needs the integral phase: <phase, kh> = k <phase, h> mod 1).  Each
-    coefficient x of the term of h lies in Q(zeta_N) with N | m, and the
-    sum of sigma_k(x) over k in (Z/m)^* is phi(m)/phi(N) Tr(x).  The sum
-    is therefore rational in every coefficient.
+    Expanding each factor as a geometric series and averaging the
+    characters over H keeps the exponents k >= 0 (zero off `twisted`)
+    with sum (phase + k)_pos u_pos integral.  These y = phase + k form the
+    lattice L of pairings (<x, v_pos>)_pos of the integral covectors x
+    with the edges, and L contains m_pos e_pos, m_pos the order of u_pos
+    modulo Z^k.  Grouping the k by their residues mod m gives (Brion)
+
+        sum_{k in Pi} e^((a - <k, c>) t) prod_{pos in twisted} 1/(1 - e^(-m_pos c_pos t)),
+
+    Pi the admissible k in the box prod [0, m_pos), of prod m_pos / |H|
+    points.  Pi is walked in integers, one coordinate at a time against a
+    Hermite basis of L; the terms share one denominator, so the points
+    only add up power sums of b = a - <k, c>.
     """
-    if phase is not None and any(Fraction(x).denominator != 1 for x in phase):
+    n = len(duals)
+    phase = [Fraction(0)] * n if phase is None else [Fraction(x) for x in phase]
+    if any(x.denominator != 1 for x in phase):
         raise ValueError(f"fixed-point phase {tuple(phase)} is not integral")
-    total = None
-    seen = set()
-    for _, coords in group:
-        key = tuple(c % 1 for c in coords)
-        if key in seen:
-            continue
-        m = common_conductor(key)
-        units = [k for k in range(1, m + 1) if gcd(k, m) == 1]
-        seen.update(tuple(k * c % 1 for c in key) for k in units)
-        term = exp_series(a, terms)
-        for pos in twisted:
-            term = term * todd_factor_series(pairings[pos], coords[pos], terms)
-        if phase is not None:
-            e = Fraction(sum(x * c for x, c in zip(phase, coords)))
-            if e.denominator != 1:  # skip the phase 1: scaling costs a product per term
-                term = term.scale(root_of_unity(e))
-        orbit = LaurentSeries(
-            term.low,
-            [x.trace() * Fraction(len(units), euler_phi(x.conductor)) for x in term.coeffs],
-        )
-        total = orbit if total is None else total + orbit
-    return total
+    twisted = sorted(set(twisted))
+    order = [pos for pos in range(n) if pos not in twisted] + twisted
+    a = Fraction(a)
+    c = {pos: Fraction(pairings[pos]) for pos in twisted}
+    m = {pos: lcm(*(Fraction(x).denominator for x in duals[pos])) for pos in twisted}
+    # everything below is an integer: s = t / scale is the series variable
+    scale = lcm(a.denominator, *(x.denominator for x in c.values()))
+    weight = {pos: int(x * scale) for pos, x in c.items()}
+    # the rows of the inverse of the dual matrix, the edges' coordinates, span L
+    edges = matrix_inverse([duals[pos] for pos in order])
+    if any(x.denominator != 1 for row in edges for x in row):
+        raise ValueError("covectors are not dual to lattice vectors")
+    basis = hermite_normal_form([[int(x) for x in row] for row in edges])[0]
+    # walk: a state is the tail of y on the coordinates left and scale * b
+    states = [(tuple([0] * n), int(a * scale))]
+    for level, pos in enumerate(order):
+        row, step = basis[level][level:], basis[level][level]
+        low = int(phase[pos])
+        high = low + m[pos] if pos in m else low + 1
+        w = weight.get(pos, 0)
+        walked = []
+        for y, b in states:
+            for value in range(low + (y[0] - low) % step, high, step):
+                s = (value - y[0]) // step
+                walked.append((
+                    tuple(x + s * r for x, r in zip(y[1:], row[1:])),
+                    b - (value - low) * w,
+                ))
+        states = walked
+    # sum_p e^(b_p t) = (1/top) sum_j poly_j s^j, poly_j = (top/j!) sum_p (scale b_p)^j
+    top = factorial(terms - 1)
+    poly = [0] * terms
+    for _, b in states:
+        power = 1
+        for j in range(terms):
+            poly[j] += power
+            power *= b
+    poly = [x * (top // factorial(j)) for j, x in enumerate(poly)]
+    denominator = top
+    # times 1/(1 - e^(-X s)) = (1/(den X)) sum_j den u_j X^j s^(j-1), X = scale m c,
+    # u_j the Todd coefficients of s/(1 - e^(-s)), per twisted edge
+    unit = _todd_unit_coeffs(terms)
+    den = lcm(*(u.denominator for u in unit))
+    unit = [u.numerator * (den // u.denominator) for u in unit]
+    for pos in twisted:
+        x = m[pos] * weight[pos]
+        if x == 0:
+            raise DivisionByZero("1/(1 - e^0) pole of infinite order")
+        factor = [u * x ** j for j, u in enumerate(unit)]
+        poly = [sum(poly[i] * factor[j - i] for i in range(j + 1)) for j in range(terms)]
+        denominator *= den * x
+    # the coefficient of t^k is the coefficient of s^k over scale^k
+    return LaurentSeries(-len(twisted), [
+        Fraction(x * scale ** max(0, -k), denominator * scale ** max(0, k))
+        for k, x in enumerate(poly, -len(twisted))
+    ])
 
 
 def pushforward_eval(
@@ -377,6 +416,14 @@ def p_star(
 
 # ---------------------------------------------------------------------------
 # the cohomology quotient in a fixed degree
+
+
+def cohomology_quotient(fan: MultiFan, k: int) -> "CohomologyQuotient":
+    """The degree-k quotient of the fan, built once per fan and degree."""
+    cache = fan._cache.setdefault("cohomology", {})
+    if k not in cache:
+        cache[k] = CohomologyQuotient(fan, k)
+    return cache[k]
 
 
 def graded_monomials(fan: MultiFan, k: int) -> list[tuple[int, ...]]:

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .lattices import (
     FiniteAbelianGroup,
+    OrientedBasis,
     Vec,
     annihilator_basis,
     determinant,
@@ -34,6 +35,7 @@ from .lattices import (
     dual_basis,
     primitive_vector,
     quotient_group,
+    saturated_dual_basis,
     smith_normal_form,
     solve_in_span,
 )
@@ -146,6 +148,24 @@ class MultiFan:
             if not self.is_face(key):
                 raise FaceNotInFan(f"{key} is not a face")
             cache[key] = quotient_group([self.edge(i) for i in key])
+        return cache[key]
+
+    def face_dual_basis(self, J) -> tuple:
+        """Covectors dual to the edges of the face J, in a basis of span(J) meet N."""
+        key = tuple(sorted(J))
+        cache = self._cache.setdefault("face_dual", {})
+        if key not in cache:
+            if not self.is_face(key):
+                raise FaceNotInFan(f"{key} is not a face")
+            cache[key] = saturated_dual_basis([self.edge(i) for i in key])
+        return cache[key]
+
+    def annihilator_of(self, J) -> OrientedBasis:
+        """Oriented basis of the covectors in M vanishing on the face J."""
+        key = tuple(sorted(J))
+        cache = self._cache.setdefault("annihilator", {})
+        if key not in cache:
+            cache[key] = annihilator_basis([self.edge(i) for i in key])
         return cache[key]
 
     def face_coordinates(self, J, x) -> tuple[Fraction, ...]:

@@ -258,14 +258,34 @@ def kernel_basis(rows, ncols: int | None = None) -> list[QVec]:
 
 
 def matrix_inverse(rows) -> tuple[QVec, ...]:
-    """Exact inverse of a square matrix over Q; raises SingularInput."""
+    """Exact inverse of a square matrix over Q; raises SingularInput.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) on [D A | D], D the
+    row denominators: every intermediate entry is an integer minor, and
+    the last pivot is det(D A), which divides the adjugate on the right.
+    """
     n = len(rows)
-    M = [[Fraction(x) for x in r] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, r in enumerate(rows)]
-    R, pivots = rref(M)
-    if pivots != list(range(n)):
-        raise SingularInput("matrix is singular")
-    return tuple(tuple(row[n:]) for row in R)
+    rows = [[Fraction(x) for x in r] for r in rows]
+    if any(len(r) != n for r in rows):
+        raise RankMismatch("inverse needs a square matrix")
+    M = []
+    for i, r in enumerate(rows):
+        d = math.lcm(*(x.denominator for x in r))
+        M.append([int(x * d) for x in r] + [d if j == i else 0 for j in range(n)])
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if M[i][k]), None)
+        if p is None:
+            raise SingularInput("matrix is singular")
+        M[k], M[p] = M[p], M[k]
+        pivot_row = M[k]
+        pivot = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = M[i][k]
+                M[i] = [(pivot * x - f * y) // prev for x, y in zip(M[i], pivot_row)]
+        prev = pivot
+    return tuple(tuple(Fraction(x, prev) for x in r[n:]) for r in M)
 
 
 def dual_basis(vectors) -> tuple[QVec, ...]:
@@ -277,6 +297,25 @@ def dual_basis(vectors) -> tuple[QVec, ...]:
     inv = matrix_inverse([tuple(v) for v in vectors])
     n = len(inv)
     return tuple(tuple(inv[j][i] for j in range(n)) for i in range(n))
+
+
+def saturated_dual_basis(vectors) -> tuple[QVec, ...]:
+    """Covectors u_l dual to independent integer vectors v_1..v_k, written
+    in a basis of the saturated lattice span_Q(v) meet Z^n.
+
+    With D = P V Q the Smith form, the first k rows of Q^-1 are such a
+    basis b_j and v_i = sum_j (P^-1)_ij d_j b_j, so u_l has the
+    coordinates P_jl / d_j.  The dual lattice is Z^k in these coordinates.
+    """
+    V = [tuple(map(int, v)) for v in vectors]
+    k = len(V)
+    if k == 0:
+        return ()
+    D, P, _ = smith_normal_form(V)
+    d = [D[i][i] for i in range(k)]
+    if any(x == 0 for x in d):
+        raise SingularInput("vectors are dependent")
+    return tuple(tuple(Fraction(P[j][l], d[j]) for j in range(k)) for l in range(k))
 
 
 def solve_in_span(basis_rows, target) -> QVec:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 # todd_factor_series stays importable: perfbench/test_smoke.py traces it here
-from .cyclotomic import CyclotomicNumber, LaurentSeries, todd_factor_series  # noqa
+from .cyclotomic import LaurentSeries, todd_factor_series  # noqa
 from .errors import (
     CrossCheckFailed,
     InvalidFan,
@@ -39,9 +39,9 @@ from .errors import (
     RigidityViolation,
 )
 from .facering import (
-    CohomologyQuotient,
     EquivariantClass,
     SupportClass,
+    cohomology_quotient,
     embed_weight,
     face_class,
     fixed_point_series,
@@ -52,12 +52,10 @@ from .facering import (
 from .fans import MultiFan, is_complete, sample_generic_vector
 from .lattices import (
     Vec,
-    annihilator_basis,
     determinant,
     dot,
     dual_basis,
     plane_line_intersection,
-    quotient_group,
     rank,
 )
 
@@ -128,10 +126,9 @@ def face_wedge(fan: MultiFan, J, i: int, omega_sign: int = 1):
     J = tuple(sorted(J))
     n = fan.rank
     m = n - len(J) + 1
-    if J:
-        omega = [list(r) for r in annihilator_basis([fan.edge(j) for j in J]).vectors]
-    else:
+    if not J:
         raise RankMismatch("face wedges need a nonempty face")
+    omega = [list(r) for r in fan.annihilator_of(J).vectors]
     coords = None
     for I in fan.cones_containing(J):
         if i in I:
@@ -180,7 +177,7 @@ def _plane_readings(fan: MultiFan, k: int, basis, wedge):
     for card in range(k):
         for K in fan.faces_of_card(card):
             if K:
-                rows = annihilator_basis([fan.edge(j) for j in K]).vectors
+                rows = fan.annihilator_of(K).vectors
             else:
                 rows = [tuple(1 if c == b else 0 for c in range(fan.rank)) for b in range(fan.rank)]
             mat = [[dot(r, w) for w in basis] for r in rows]
@@ -310,11 +307,11 @@ def todd_face_coefficient(fan: MultiFan, J, plane: GenericPlane | None = None) -
     line, pairs = _face_readings(plane, J)
     I0 = fan.cones_containing(J)[0]
     duals = dict(zip(I0, fan.dual_basis_of(I0)))
-    group = fan.group_of(J)
+    face_duals = fan.face_dual_basis(J)
     values = []
     for cs in ([pairs[j] for j in J], [dot(duals[j], line) for j in J]):
-        series = fixed_point_series(cs, group, range(len(J)), fan.rank + 3)
-        values.append((series.coefficient(0) * Fraction(1, group.order)).rational())
+        series = fixed_point_series(cs, face_duals, range(len(J)), fan.rank + 3)
+        values.append(series.rational_coefficient(0))
     if values[0] != values[1]:
         raise CrossCheckFailed(f"mu_k({J}): wedge {values[0]} != line {values[1]}")
     return values[0]
@@ -338,10 +335,9 @@ def todd_pushforward(fan: MultiFan, v, high: int | None = None) -> LaurentSeries
         high = n
     total = LaurentSeries.zero(-n, high)
     for I, w in zip(fan.cones, fan.weights):
-        pairings = generic_pairings(fan.dual_basis_of(I), v)
-        group = fan.group_of(I)
-        series = fixed_point_series(pairings, group, range(n), high + n + 1)
-        total = total + series.scale(Fraction(w, group.order))
+        duals = fan.dual_basis_of(I)
+        series = fixed_point_series(generic_pairings(duals, v), duals, range(n), high + n + 1)
+        total = total + series.scale(w)
     for m in range(-n, high + 1):
         if m != 0 and total.coefficient(m) != 0:
             value = total.coefficient(m)
@@ -375,17 +371,16 @@ def ehrhart_coefficients(fan: MultiFan, support) -> tuple[Fraction, ...]:
         raise NotTCartier("support class has a fractional vertex covector")
     n = fan.rank
     v = sample_generic_vector(fan, random.Random(0xEA7))
-    poly = [CyclotomicNumber.coerce(0) for _ in range(n + 1)]
+    poly = [Fraction(0)] * (n + 1)
     for I, w in zip(fan.cones, fan.weights):
-        pairings = generic_pairings(fan.dual_basis_of(I), v)
+        duals = fan.dual_basis_of(I)
         a = dot(support.restrict(fan, I), v)
-        group = fan.group_of(I)
-        series = fixed_point_series(pairings, group, range(n), n + 3)
-        pw = Fraction(w, group.order)
+        series = fixed_point_series(generic_pairings(duals, v), duals, range(n), n + 3)
+        pw = Fraction(w)
         for j in range(n + 1):
-            poly[j] = poly[j] + series.coefficient(-j) * pw
+            poly[j] += series.rational_coefficient(-j) * pw
             pw = pw * a / (j + 1)
-    return tuple(poly[n - k].rational() for k in range(n + 1))
+    return tuple(poly[n - k] for k in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +422,7 @@ def cohomology_decomposition_residual(
     example smooth projective toric surfaces).
     """
     D = _decomposition(fan, cls, mu)
-    return CohomologyQuotient(fan, cls.homogeneous_degree()).reduce(cls - D)
+    return cohomology_quotient(fan, cls.homogeneous_degree()).reduce(cls - D)
 
 
 def spanning_classes(fan: MultiFan, k: int) -> list[EquivariantClass]:
@@ -468,10 +463,8 @@ def cone_todd_series(rays, v, high: int | None = None) -> LaurentSeries:
     n = len(rays)
     if high is None:
         high = n
-    pairings = generic_pairings(dual_basis(rays), v)
-    group = quotient_group(rays)
-    series = fixed_point_series(pairings, group, range(n), high + n + 1)
-    return LaurentSeries.zero(-n, high) + series.scale(Fraction(1, group.order))
+    duals = dual_basis(rays)
+    return fixed_point_series(generic_pairings(duals, v), duals, range(n), high + n + 1)
 
 
 def check_subdivision_cover(parent_rays, child_cones) -> None:

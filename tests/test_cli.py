@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -251,3 +254,27 @@ def test_failed_check_exits_one(capsys, square, monkeypatch):
     code, out, _ = _run(capsys, ["count", square, "unit"])
     assert code == 1
     assert json.loads(out)["ok"] is False
+
+
+def test_one_process_prints_what_fresh_processes_print(capsys, square, weighted):
+    # the parser is built once per process and serves every subcommand
+    runs = [
+        ["validate", square],
+        ["ehrhart", weighted, "corner", "--nu-check", "2"],
+        ["count", square, "unit", "--face", "1"],
+        ["volume", square, "unit", "--face", "2"],
+        ["todd", weighted, "--seed", "3"],
+        ["morelli", square, "--k", "1", "--cohomology"],
+        ["subdivide-check", "1,0;0,1", "--ray", "2,1"],
+        ["count", square, "nosuch"],
+        ["validate", weighted],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in runs:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "multifan.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert _run(capsys, argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert cli._parser() is cli._parser()

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -11,7 +12,14 @@ from multifan.catalog import (
     projective_plane_fan,
     weighted_p112_fan,
 )
-from multifan.cyclotomic import exp_series, root_of_unity, todd_factor_series
+from multifan.cyclotomic import (
+    LaurentSeries,
+    common_conductor,
+    euler_phi,
+    exp_series,
+    root_of_unity,
+    todd_factor_series,
+)
 from multifan.errors import NonGenericVector, PoleResidueNonzero
 from multifan.facering import (
     CohomologyQuotient,
@@ -26,8 +34,8 @@ from multifan.facering import (
     ray_class,
     restrict_eval,
 )
-from multifan.fans import MultiFan
-from multifan.lattices import dot, quotient_group
+from multifan.fans import MultiFan, random_complete_fan
+from multifan.lattices import dot, dual_basis, quotient_group
 
 
 def _quadrant():
@@ -205,6 +213,12 @@ def test_cohomology_reduce_is_linear_and_kills_relations():
     assert q.reduce(a) == q.reduce(b)
 
 
+# Two independent oracles for the primal kernel, both summing over the
+# elements h of the cone group in Q(zeta_N) with the coordinates of h as
+# character phases; both return the sum, so the kernel's average is the
+# sum divided by |H|.
+
+
 def _per_element_series(pairings, group, twisted, terms, a=0, phase=None):
     """The fixed-point sum term by term over every element of the group."""
     total = None
@@ -216,6 +230,57 @@ def _per_element_series(pairings, group, twisted, terms, a=0, phase=None):
             term = term.scale(root_of_unity(sum(x * c for x, c in zip(phase, coords))))
         total = term if total is None else total + term
     return total
+
+
+def _galois_series(pairings, group, twisted, terms, a=0, phase=None):
+    """The fixed-point sum with one term per cyclic subgroup, traced to Q.
+
+    The terms of h and kh, k prime to the order m of h, are Galois
+    conjugates (the phase is integral), and the sum of sigma_k(x) over
+    k in (Z/m)^* is phi(m)/phi(N) Tr(x) for x in Q(zeta_N), N | m.
+    """
+    total = None
+    seen = set()
+    for _, coords in group:
+        key = tuple(c % 1 for c in coords)
+        if key in seen:
+            continue
+        m = common_conductor(key)
+        units = [k for k in range(1, m + 1) if gcd(k, m) == 1]
+        seen.update(tuple(k * c % 1 for c in key) for k in units)
+        term = exp_series(a, terms)
+        for pos in twisted:
+            term = term * todd_factor_series(pairings[pos], coords[pos], terms)
+        if phase is not None:
+            e = Fraction(sum(x * c for x, c in zip(phase, coords)))
+            if e.denominator != 1:
+                term = term.scale(root_of_unity(e))
+        orbit = LaurentSeries(
+            term.low,
+            [x.trace() * Fraction(len(units), euler_phi(x.conductor)) for x in term.coeffs],
+        )
+        total = orbit if total is None else total + orbit
+    return total
+
+
+def _assert_kernel_matches_the_oracles(pairings, duals, group, twisted, terms, a, phase):
+    fast = fixed_point_series(pairings, duals, twisted, terms, a, phase)
+    for oracle in (_per_element_series, _galois_series):
+        slow = oracle(pairings, group, twisted, terms, a, phase)
+        assert (fast.low, fast.high) == (slow.low, slow.high)
+        for k in range(slow.low, slow.high + 1):
+            assert fast.coefficient(k).conductor == 1
+            assert fast.coefficient(k) == slow.coefficient(k) * Fraction(1, group.order), (
+                oracle.__name__, twisted, phase, k
+            )
+
+
+def _random_inputs(rng, n):
+    def rational():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+
+    pairings = [rational() for _ in range(n)]
+    return pairings, rational(), tuple(rng.randint(-3, 3) for _ in range(n))
 
 
 _KERNEL_GROUPS = {
@@ -232,28 +297,51 @@ _KERNEL_GROUPS = {
 
 @pytest.mark.parametrize("name", list(_KERNEL_GROUPS))
 def test_fixed_point_series_matches_the_per_element_sum(name):
+    # top cones: the covectors dual to the edges, in the standard basis
     rays = _KERNEL_GROUPS[name]
     group = quotient_group(rays)
+    duals = dual_basis(rays)
     n = len(rays)
     rng = random.Random(name)
-
-    def rational():
-        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
-
     for size in range(n + 1):
         for twisted in itertools.combinations(range(n), size):
-            for phase in (None, tuple(rng.randint(-3, 3) for _ in range(n))):
-                pairings = [rational() for _ in range(n)]
-                a = rational()
-                fast = fixed_point_series(pairings, group, twisted, 4, a, phase)
-                slow = _per_element_series(pairings, group, twisted, 4, a, phase)
-                assert (fast.low, fast.high) == (slow.low, slow.high)
-                for k in range(slow.low, slow.high + 1):
-                    assert fast.coefficient(k).conductor == 1
-                    assert fast.coefficient(k) == slow.coefficient(k), (twisted, phase, k)
+            pairings, a, phase = _random_inputs(rng, n)
+            for ph in (None, phase):
+                _assert_kernel_matches_the_oracles(pairings, duals, group, twisted, 4, a, ph)
+
+
+# (seed, rank, star subdivisions, edge multipliers): complete fans whose
+# faces of every size below the rank have cyclic groups and products
+# such as Z/2 x Z/12 and (Z/3)^2 inside the span of the face
+_FACE_FANS = [
+    (3, 2, 3, (2, 12, 3, 1, 1, 1)),
+    (5, 3, 2, (2, 12, 1, 3, 1, 1)),
+    (8, 3, 2, (3, 3, 3, 1, 2, 1)),
+    (2, 4, 1, (2, 3, 1, 2, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("spec", _FACE_FANS, ids=lambda s: f"rank {s[1]} seed {s[0]}")
+def test_fixed_point_series_matches_the_oracles_on_faces(spec):
+    seed, dim, steps, multipliers = spec
+    fan = random_complete_fan(seed, dim, steps).with_multipliers(multipliers)
+    rng = random.Random(seed)
+    orders = set()
+    for size in range(1, dim):
+        for J in fan.faces_of_card(size):
+            group = fan.group_of(J)
+            orders.add(group.order)
+            duals = fan.face_dual_basis(J)
+            for tsize in range(size + 1):
+                for twisted in itertools.combinations(range(size), tsize):
+                    pairings, a, phase = _random_inputs(rng, size)
+                    _assert_kernel_matches_the_oracles(
+                        pairings, duals, group, twisted, 3 + dim, a, phase
+                    )
+    assert max(orders) > 1
 
 
 def test_fixed_point_series_rejects_a_fractional_phase():
-    group = quotient_group(_KERNEL_GROUPS["Z/4"])
+    duals = dual_basis(_KERNEL_GROUPS["Z/4"])
     with pytest.raises(ValueError):
-        fixed_point_series([1, 2], group, (0, 1), 3, phase=(Fraction(1, 2), 0))
+        fixed_point_series([1, 2], duals, (0, 1), 3, phase=(Fraction(1, 2), 0))

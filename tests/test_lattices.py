@@ -1,5 +1,6 @@
 """Integer/rational linear algebra: normal forms, duals, quotients."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from multifan.lattices import (
     primitive_vector,
     quotient_group,
     rank,
+    saturated_dual_basis,
     smith_normal_form,
     solve_in_span,
     xgcd,
@@ -284,3 +286,25 @@ def test_primitive_vector():
     assert primitive_vector((0, -4)) == (0, -1)
     with pytest.raises(SingularInput):
         primitive_vector((0, 0))
+
+
+@pytest.mark.parametrize("vectors", [
+    [(2, 0, 0), (0, 12, 0)],
+    [(1, 1, 1), (3, 0, -3)],
+    [(3, 3, 0), (0, 3, 3)],
+    [(1, 0), (5, 12)],
+    [(4,)],
+])
+def test_saturated_dual_basis_reads_the_quotient_group(vectors):
+    # in a basis of the saturated lattice the integral points y give the
+    # phases <u_l, y> of the group elements, each once mod 1
+    duals = saturated_dual_basis(vectors)
+    k = len(vectors)
+    group = quotient_group(vectors)
+    phases = {tuple(c % 1 for c in coords) for _, coords in group}
+    reached = {
+        tuple(sum(y[j] * duals[l][j] for j in range(k)) % 1 for l in range(k))
+        for y in itertools.product(range(group.order), repeat=k)
+    }
+    assert len(phases) == group.order
+    assert reached == phases

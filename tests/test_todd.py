@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from multifan.errors import (
     RankMismatch,
     RigidityViolation,
 )
-from multifan import facering
+from multifan import fans as fans_module
 from multifan.facering import (
     EquivariantClass,
     SupportClass,
@@ -36,8 +37,14 @@ from multifan.fans import (
     random_complete_fan,
     sample_generic_vector,
 )
-from multifan.lattices import rank
-from multifan.polytopes import MultiPolytope, count_bruteforce, count_formula, volume
+from multifan.lattices import FiniteAbelianGroup, dot, dual_basis, rank
+from multifan.polytopes import (
+    MultiPolytope,
+    count_bruteforce,
+    count_face,
+    count_formula,
+    volume,
+)
 from multifan.todd import (
     GenericPlane,
     cone_todd_series,
@@ -48,6 +55,7 @@ from multifan.todd import (
     morelli_coefficient,
     sample_generic_plane,
     spanning_classes,
+    subdivision_residual,
     todd_face_coefficient,
     todd_genus,
     todd_pushforward,
@@ -401,7 +409,7 @@ def _weighted_plane(d):
     return MultiFan(2, [(1, 0), (0, 1), (-1, -d)], [(0, 1), (1, 2), (0, 2)])
 
 
-@pytest.mark.parametrize("d", [9, 12])
+@pytest.mark.parametrize("d", [9, 12, 193, 997])
 def test_todd_genus_of_weighted_planes(d):
     fan = _weighted_plane(d)
     assert todd_genus(fan) == fan_degree(fan) == 1
@@ -417,16 +425,47 @@ def test_ehrhart_of_weighted_planes_matches_brute_force(d):
         assert predicted == count_bruteforce(MultiPolytope(fan, [nu * k] * 3)), nu
 
 
-def test_todd_genus_builds_one_term_per_cyclic_subgroup(monkeypatch):
-    # the index-97 cone has two cyclic subgroups, so 2 + 2 + 2 * 2 factors
-    # against 2 + 2 + 97 * 2 summed element by element
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return todd_factor_series(*args)
-
-    monkeypatch.setattr(facering, "todd_factor_series", counted)
+def test_ehrhart_on_an_index_97_vertex_matches_brute_force():
+    # the wall of the last ray alone is T-Cartier from the multiple 97 on; its
+    # polytope has a vertex on the index-97 cone and a box of 196 points
     fan = _weighted_plane(97)
-    assert todd_genus(fan) == fan_degree(fan) == 1
-    assert len(calls) <= 8
+    k = next(k for k in range(1, 98) if SupportClass([0, 0, k]).is_T_Cartier(fan))
+    assert k == 97
+    a = ehrhart_coefficients(fan, [0, 0, k])
+    for nu in (1, 2):
+        predicted = sum(a[j] * nu ** (2 - j) for j in range(3))
+        assert predicted == count_bruteforce(MultiPolytope(fan, [0, 0, nu * k])), nu
+
+
+def test_a_cone_with_group_97_squared_is_additive_and_fast():
+    # H = Z/97 x Z/97 and every dual covector has order 97, so the kernel
+    # walks 97^3 / 97^2 = 97 points per cone; the star subdivision at the sum
+    # of the edges has three children with the same group
+    rays = [(1, 2, 3), (1, -95, 100), (-1, -2, -100)]
+    r = tuple(map(sum, zip(*rays)))
+    children = [[rays[j] for j in range(3) if j != i] + [r] for i in range(3)]
+    v = (3, -7, 11)
+    start = time.perf_counter()
+    series = cone_todd_series(rays, v)
+    residual = subdivision_residual(rays, children, v)
+    assert time.perf_counter() - start < 1.0
+    c = [dot(u, v) for u in dual_basis(rays)]
+    assert series.coefficient(-3) == Fraction(1, 97 * 97) / (c[0] * c[1] * c[2])
+    assert residual.is_zero_on(-3, 3)
+
+
+def test_fixed_point_sums_enumerate_no_group(monkeypatch):
+    # the kernel walks the parallelepiped of the vertex cone: no caller builds
+    # or iterates a cone group, also on an index-97 cone
+    def refuse(*args):
+        raise AssertionError("a cone group was enumerated")
+
+    monkeypatch.setattr(FiniteAbelianGroup, "__iter__", refuse)
+    monkeypatch.setattr(fans_module, "quotient_group", refuse)
+    fan = _weighted_plane(97)
+    assert todd_genus(fan) == 1
+    assert ehrhart_coefficients(fan, [0, 0, 97])[0] == Fraction(97, 2)
+    assert count_formula(MultiPolytope(fan, [0, 1, 0])) == 99
+    assert count_face(MultiPolytope(fan, [0, 0, 97]), (0,)) == 2
+    plane = sample_generic_plane(fan, 1)
+    assert todd_face_coefficient(fan, (2,), plane) == Fraction(1, 2)
