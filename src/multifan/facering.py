@@ -10,9 +10,10 @@ of its group behind the Todd genus, the lattice point counts and the
 face weights share one kernel, `fixed_point_series`.  It never visits
 the group: averaging the characters over it leaves a rational sum over
 the lattice points of the fundamental parallelepiped of the vertex cone
-(Brion), walked in integers, so its cost grows with the number of those
-points, prod m_i / |H| for the orders m_i of the dual covectors, and
-every sum it returns is rational.
+(Brion).  Those points are the elements of the group of the dual cone,
+enumerated from its Smith form as LattE does, so the kernel's cost grows
+with their number, prod m_i / |H| for the orders m_i of the dual
+covectors, and every sum it returns is rational.
 """
 
 from __future__ import annotations
@@ -23,16 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
 
-from .cyclotomic import LaurentSeries, _todd_unit_coeffs
+from .cyclotomic import LaurentSeries, todd_factor_series
 from .errors import (
     CrossCheckFailed,
-    DivisionByZero,
     NonGenericVector,
     PoleResidueNonzero,
     RankMismatch,
 )
 from .fans import MultiFan, sample_generic_vector
-from .lattices import QVec, dot, hermite_normal_form, matrix_inverse, rref
+from .lattices import QVec, dot, integral_solution, matrix_inverse, quotient_group, rref
 
 
 class EquivariantClass:
@@ -259,77 +259,73 @@ def fixed_point_series(
 
     with c_pos = pairings[pos] and the characters chi_pos(h) =
     e^(2 pi i <u_pos, h>), where u_pos = duals[pos] are the covectors dual
-    to the edges of the cone, written in a basis of the lattice of its
-    span (so its dual lattice is Z^k); callers scale the average by w(I).
-    The phase must be an integral covector.
+    to the edges v_pos of the cone, written in a basis of the lattice of
+    its span (so its dual lattice is M = Z^k); callers scale the average
+    by w(I).  The phase must be an integral covector.
 
     Expanding each factor as a geometric series and averaging the
     characters over H keeps the exponents k >= 0 (zero off `twisted`)
-    with sum (phase + k)_pos u_pos integral.  These y = phase + k form the
-    lattice L of pairings (<x, v_pos>)_pos of the integral covectors x
-    with the edges, and L contains m_pos e_pos, m_pos the order of u_pos
-    modulo Z^k.  Grouping the k by their residues mod m gives (Brion)
+    with x = sum (phase + k)_pos u_pos in M.  With m_pos the order of
+    u_pos modulo M, grouping the k by their residues mod m gives (Brion)
 
         sum_{k in Pi} e^((a - <k, c>) t) prod_{pos in twisted} 1/(1 - e^(-m_pos c_pos t)),
 
     Pi the admissible k in the box prod [0, m_pos), of prod m_pos / |H|
-    points.  Pi is walked in integers, one coordinate at a time against a
-    Hermite basis of L; the terms share one denominator, so the points
-    only add up power sums of b = a - <k, c>.
+    points.  They are the elements of the group of the dual cone,
+    M' / <m_pos u_pos>, M' the covectors of M in the span of the twisted
+    u_pos (the enumeration of LattE): the element of coordinates c_pos
+    in the generators m_pos u_pos, shifted by an x_0 in M with <x_0, v> =
+    phase off `twisted`, has k_pos = <x_0, v_pos> + m_pos c_pos - phase_pos
+    mod m_pos.  The points only add up power sums of b = a - <k, c>, in
+    integers; the terms share one denominator, a product of Todd factors.
     """
     n = len(duals)
     phase = [Fraction(0)] * n if phase is None else [Fraction(x) for x in phase]
     if any(x.denominator != 1 for x in phase):
         raise ValueError(f"fixed-point phase {tuple(phase)} is not integral")
     twisted = sorted(set(twisted))
-    order = [pos for pos in range(n) if pos not in twisted] + twisted
+    fixed = [pos for pos in range(n) if pos not in twisted]
     a = Fraction(a)
-    c = {pos: Fraction(pairings[pos]) for pos in twisted}
     m = {pos: lcm(*(Fraction(x).denominator for x in duals[pos])) for pos in twisted}
     # everything below is an integer: s = t / scale is the series variable
-    scale = lcm(a.denominator, *(x.denominator for x in c.values()))
-    weight = {pos: int(x * scale) for pos, x in c.items()}
-    # the rows of the inverse of the dual matrix, the edges' coordinates, span L
-    edges = matrix_inverse([duals[pos] for pos in order])
-    if any(x.denominator != 1 for row in edges for x in row):
-        raise ValueError("covectors are not dual to lattice vectors")
-    basis = hermite_normal_form([[int(x) for x in row] for row in edges])[0]
-    # walk: a state is the tail of y on the coordinates left and scale * b
-    states = [(tuple([0] * n), int(a * scale))]
-    for level, pos in enumerate(order):
-        row, step = basis[level][level:], basis[level][level]
-        low = int(phase[pos])
-        high = low + m[pos] if pos in m else low + 1
-        w = weight.get(pos, 0)
-        walked = []
-        for y, b in states:
-            for value in range(low + (y[0] - low) % step, high, step):
-                s = (value - y[0]) // step
-                walked.append((
-                    tuple(x + s * r for x, r in zip(y[1:], row[1:])),
-                    b - (value - low) * w,
-                ))
-        states = walked
+    scale = lcm(a.denominator, *(Fraction(pairings[pos]).denominator for pos in twisted))
+    weight = {pos: int(pairings[pos] * scale) for pos in twisted}
+    shift = {pos: -int(phase[pos]) for pos in twisted}
+    if fixed:
+        # the columns of the inverse of the dual matrix are the edges
+        edges = list(zip(*matrix_inverse(duals)))
+        if any(x.denominator != 1 for v in edges for x in v):
+            raise ValueError("covectors are not dual to lattice vectors")
+        edges = [[int(x) for x in v] for v in edges]
+        x0 = integral_solution([edges[pos] for pos in fixed], [int(phase[pos]) for pos in fixed])
+        if x0 is None:
+            return LaurentSeries(-len(twisted), [0] * terms)
+        for pos in twisted:
+            shift[pos] += dot(x0, edges[pos])
+    group = quotient_group([[int(x * m[pos]) for x in duals[pos]] for pos in twisted])
     # sum_p e^(b_p t) = (1/top) sum_j poly_j s^j, poly_j = (top/j!) sum_p (scale b_p)^j
     top = factorial(terms - 1)
     poly = [0] * terms
-    for _, b in states:
+    start = int(a * scale)
+    steps = [(m[pos], shift[pos], weight[pos]) for pos in twisted]
+    for _, coords in group:
+        b = start
+        for (mp, sp, wp), c in zip(steps, coords):
+            b -= (sp + mp * c.numerator // c.denominator) % mp * wp
         power = 1
         for j in range(terms):
             poly[j] += power
             power *= b
     poly = [x * (top // factorial(j)) for j, x in enumerate(poly)]
     denominator = top
-    # times 1/(1 - e^(-X s)) = (1/(den X)) sum_j den u_j X^j s^(j-1), X = scale m c,
-    # u_j the Todd coefficients of s/(1 - e^(-s)), per twisted edge
-    unit = _todd_unit_coeffs(terms)
-    den = lcm(*(u.denominator for u in unit))
-    unit = [u.numerator * (den // u.denominator) for u in unit]
+    # times 1/(1 - e^(-X s)), X = scale m c, per twisted edge: its Todd
+    # series X^-1 sum_j u_j X^j s^(j-1) over the common denominator of u_j X^j
     for pos in twisted:
         x = m[pos] * weight[pos]
-        if x == 0:
-            raise DivisionByZero("1/(1 - e^0) pole of infinite order")
-        factor = [u * x ** j for j, u in enumerate(unit)]
+        series = todd_factor_series(x, 0, terms)
+        factor = [series.rational_coefficient(j - 1) * x for j in range(terms)]
+        den = lcm(*(f.denominator for f in factor))
+        factor = [int(f * den) for f in factor]
         poly = [sum(poly[i] * factor[j - i] for i in range(j + 1)) for j in range(terms)]
         denominator *= den * x
     # the coefficient of t^k is the coefficient of s^k over scale^k

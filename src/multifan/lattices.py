@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import NonGenericPlane, RankMismatch, SingularInput
@@ -258,34 +259,14 @@ def kernel_basis(rows, ncols: int | None = None) -> list[QVec]:
 
 
 def matrix_inverse(rows) -> tuple[QVec, ...]:
-    """Exact inverse of a square matrix over Q; raises SingularInput.
-
-    Fraction-free Gauss-Jordan elimination (Bareiss) on [D A | D], D the
-    row denominators: every intermediate entry is an integer minor, and
-    the last pivot is det(D A), which divides the adjugate on the right.
-    """
+    """Exact inverse of a square matrix over Q; raises SingularInput."""
     n = len(rows)
-    rows = [[Fraction(x) for x in r] for r in rows]
-    if any(len(r) != n for r in rows):
-        raise RankMismatch("inverse needs a square matrix")
-    M = []
-    for i, r in enumerate(rows):
-        d = math.lcm(*(x.denominator for x in r))
-        M.append([int(x * d) for x in r] + [d if j == i else 0 for j in range(n)])
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if M[i][k]), None)
-        if p is None:
-            raise SingularInput("matrix is singular")
-        M[k], M[p] = M[p], M[k]
-        pivot_row = M[k]
-        pivot = pivot_row[k]
-        for i in range(n):
-            if i != k:
-                f = M[i][k]
-                M[i] = [(pivot * x - f * y) // prev for x, y in zip(M[i], pivot_row)]
-        prev = pivot
-    return tuple(tuple(Fraction(x, prev) for x in r[n:]) for r in M)
+    M = [[Fraction(x) for x in r] + [Fraction(1 if i == j else 0) for j in range(n)]
+         for i, r in enumerate(rows)]
+    R, pivots = rref(M)
+    if pivots != list(range(n)):
+        raise SingularInput("matrix is singular")
+    return tuple(tuple(row[n:]) for row in R)
 
 
 def dual_basis(vectors) -> tuple[QVec, ...]:
@@ -365,17 +346,42 @@ def integral_solution(rows, rhs) -> Vec | None:
 class FiniteAbelianGroup:
     """The quotient H = N_K / N_{K,V} of a saturated lattice by edge vectors.
 
-    lifts[h] is an integer representative v(h) in N (identity first);
-    coords[h] are the rational coordinates of v(h) in the generating
-    edge basis, i.e. the character phases <u_j^K, v(h)>.
+    Kept as its Smith data and enumerated lazily, in lexicographic order
+    of the residues y_j mod d_j (identity first): an element is the pair
+    of its integer lift v(h) = sum_j y_j b_j in N and the rational
+    coordinates sum_j (y_j / d_j) P_j of v(h) in the generating edge
+    basis, i.e. the character phases <u_j^K, v(h)>.  `lifts` and
+    `coords` list them all, in the same order.
     """
 
-    order: int
-    lifts: tuple[Vec, ...]
-    coords: tuple[QVec, ...]
+    invariants: tuple[int, ...]  # Smith invariants d_j
+    basis: tuple[Vec, ...]  # the saturation basis b_j
+    edge_rows: tuple[Vec, ...]  # the rows P_j of the Smith transform
+
+    @property
+    def order(self) -> int:
+        return math.prod(self.invariants)
 
     def __iter__(self):
-        return iter(zip(self.lifts, self.coords))
+        d = self.invariants
+        k = len(d)
+        n = len(self.basis[0]) if k else 0
+        top = math.lcm(*d)
+        rows = [[x * (top // dj) for x in row] for row, dj in zip(self.edge_rows, d)]
+        for y in itertools.product(*(range(x) for x in d)):
+            lift = tuple(sum(y[j] * self.basis[j][i] for j in range(k)) for i in range(n))
+            coords = tuple(
+                Fraction(sum(y[j] * rows[j][l] for j in range(k)), top) for l in range(k)
+            )
+            yield lift, coords
+
+    @cached_property
+    def lifts(self) -> tuple[Vec, ...]:
+        return tuple(lift for lift, _ in self)
+
+    @cached_property
+    def coords(self) -> tuple[QVec, ...]:
+        return tuple(c for _, c in self)
 
 
 def quotient_group(vectors) -> FiniteAbelianGroup:
@@ -388,29 +394,14 @@ def quotient_group(vectors) -> FiniteAbelianGroup:
     V = [tuple(map(int, v)) for v in vectors]
     k = len(V)
     if k == 0:
-        return FiniteAbelianGroup(1, ((),), ((),))
-    n = len(V[0])
+        return FiniteAbelianGroup((), (), ())
     D, P, Q = smith_normal_form(V)
-    d = [D[i][i] for i in range(k)]
+    d = tuple(D[i][i] for i in range(k))
     if any(x == 0 for x in d):
         raise SingularInput("edge vectors are dependent")
     qinv = matrix_inverse(Q)
-    sat = [tuple(int(x) for x in qinv[i]) for i in range(k)]  # saturation basis
-    order = 1
-    for x in d:
-        order *= x
-    lifts = []
-    coords = []
-    for y in itertools.product(*(range(x) for x in d)):
-        lift = tuple(sum(y[j] * sat[j][i] for j in range(k)) for i in range(n))
-        # coordinates in the edge basis: (y_j / d_j) rows of P, summed
-        c = tuple(
-            sum(Fraction(y[j], d[j]) * P[j][l] for j in range(k))
-            for l in range(k)
-        )
-        lifts.append(lift)
-        coords.append(c)
-    return FiniteAbelianGroup(order, tuple(lifts), tuple(coords))
+    sat = tuple(tuple(int(x) for x in qinv[i]) for i in range(k))
+    return FiniteAbelianGroup(d, sat, tuple(tuple(P[j][:k]) for j in range(k)))
 
 
 @dataclass(frozen=True)

@@ -308,3 +308,12 @@ def test_saturated_dual_basis_reads_the_quotient_group(vectors):
     }
     assert len(phases) == group.order
     assert reached == phases
+
+
+def test_quotient_group_enumerates_lazily():
+    # the order comes from the Smith invariants; elements are made on demand
+    g = quotient_group([(10**6, 0, 0), (0, 10**6, 0), (0, 0, 10**6)])
+    assert g.order == 10**18
+    elements = iter(g)
+    assert next(elements) == ((0, 0, 0), (0, 0, 0))
+    assert next(elements) == ((0, 0, 1), (0, 0, Fraction(1, 10**6)))

@@ -21,6 +21,7 @@ from multifan.errors import (
     RankMismatch,
     RigidityViolation,
 )
+from multifan import facering
 from multifan import fans as fans_module
 from multifan.facering import (
     EquivariantClass,
@@ -37,7 +38,7 @@ from multifan.fans import (
     random_complete_fan,
     sample_generic_vector,
 )
-from multifan.lattices import FiniteAbelianGroup, dot, dual_basis, rank
+from multifan.lattices import dot, dual_basis, rank
 from multifan.polytopes import (
     MultiPolytope,
     count_bruteforce,
@@ -454,13 +455,29 @@ def test_a_cone_with_group_97_squared_is_additive_and_fast():
     assert residual.is_zero_on(-3, 3)
 
 
-def test_fixed_point_sums_enumerate_no_group(monkeypatch):
-    # the kernel walks the parallelepiped of the vertex cone: no caller builds
-    # or iterates a cone group, also on an index-97 cone
-    def refuse(*args):
-        raise AssertionError("a cone group was enumerated")
+def test_todd_genus_builds_one_term_per_cyclic_subgroup(monkeypatch):
+    # one untwisted Todd factor per edge of each of the three cones: 3 * 2
+    # factors, against 2 + 2 + 97 * 2 summed element by element
+    calls = []
 
-    monkeypatch.setattr(FiniteAbelianGroup, "__iter__", refuse)
+    def counted(*args):
+        calls.append(args)
+        return todd_factor_series(*args)
+
+    monkeypatch.setattr(facering, "todd_factor_series", counted)
+    fan = _weighted_plane(97)
+    assert todd_genus(fan) == fan_degree(fan) == 1
+    assert len(calls) == 6
+    assert all(phase == 0 for _, phase, _ in calls)
+
+
+def test_fixed_point_sums_build_no_cone_group(monkeypatch):
+    # the kernel enumerates the group of the dual cone, one element per
+    # parallelepiped point; no caller builds a cone group H, also on an
+    # index-97 cone
+    def refuse(*args):
+        raise AssertionError("a cone group was built")
+
     monkeypatch.setattr(fans_module, "quotient_group", refuse)
     fan = _weighted_plane(97)
     assert todd_genus(fan) == 1
