@@ -27,7 +27,7 @@ for name, fan in [
     series = todd_pushforward(fan, v, high=4)
     window = {m: series.coefficient(m) for m in range(-fan.rank, 5)}
     print(f"{name}: direction {v}")
-    print("  coefficients:", {m: str(c.rational()) for m, c in window.items()})
+    print("  coefficients:", {m: str(c) for m, c in window.items()})
     print("  genus:", todd_genus(fan))
 
 print("\nrandom complete fans, rank 2 and 3")

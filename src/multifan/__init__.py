@@ -1,11 +1,11 @@
 """Exact computations on simplicial multi-fans and multi-polytopes.
 
 The package provides lattice and Smith-form utilities, weighted
-simplicial multi-fans with completeness tests, cyclotomic scalars and
-truncated Laurent series, the equivariant face ring with its exact
-push-forward, Duistermaat-Heckman style lattice point counting, and the
-Todd-series decomposition of cohomology classes into face classes.  All
-arithmetic is exact over the integers, rationals, and roots of unity.
+simplicial multi-fans with completeness tests, truncated Laurent series
+and Todd factors, the equivariant face ring with its exact push-forward,
+Duistermaat-Heckman style lattice point counting, and the Todd-series
+decomposition of cohomology classes into face classes.  All arithmetic
+is exact over the integers and rationals.
 """
 
 import types as _types
@@ -18,13 +18,7 @@ from .catalog import (
     weighted_p112_fan,
     with_doubled_multipliers,
 )
-from .cyclotomic import (
-    CyclotomicNumber,
-    LaurentSeries,
-    exp_series,
-    root_of_unity,
-    todd_factor_series,
-)
+from .cyclotomic import LaurentSeries, exp_series, todd_factor_series
 from .errors import (
     BudgetExceeded,
     ConductorMismatch,

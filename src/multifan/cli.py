@@ -142,6 +142,12 @@ def _load(args):
     return doc, doc.fan(), _sha256(args.file)
 
 
+def _require(flag: str, value: int, low: int) -> None:
+    """Refuse a numeric flag below the lowest value it has a meaning for."""
+    if value < low:
+        raise FanDocumentError(f"{flag} must be at least {low}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -168,6 +174,7 @@ def cmd_validate(args) -> dict:
 
 
 def cmd_ehrhart(args) -> dict:
+    _require("--nu-check", args.nu_check, 0)
     doc, fan, digest = _load(args)
     xi = _resolve_support(doc, args.support)
     n = fan.rank
@@ -203,7 +210,7 @@ def cmd_ehrhart(args) -> dict:
         "mode": "polynomial",
         "coefficients": [format_rational(a) for a in coeffs],
     }
-    for nu in range(1, (args.nu_check or 0) + 1):
+    for nu in range(1, args.nu_check + 1):
         predicted = sum(coeffs[k] * Fraction(nu) ** (n - k) for k in range(n + 1))
         counted = count_bruteforce(MultiPolytope(fan, [x * nu for x in xi]))
         checks.append(
@@ -280,6 +287,7 @@ def cmd_todd(args) -> dict:
 
 
 def cmd_morelli(args) -> dict:
+    _require("--planes", args.planes, 1)
     doc, fan, digest = _load(args)
     k = args.k
     rng = random.Random(args.seed)
@@ -333,10 +341,12 @@ def cmd_morelli(args) -> dict:
 
 
 def cmd_subdivide_check(args) -> dict:
+    _require("--samples", args.samples, 1)
     echo = {
         "target": args.target,
         "ray": args.ray or "",
         "orders": args.orders,
+        "samples": args.samples,
         "seed": args.seed,
     }
     extra = {"seed": args.seed}
@@ -387,6 +397,7 @@ def cmd_subdivide_check(args) -> dict:
     check_subdivision_cover(parent, children)
     n = len(parent)
     high = args.orders if args.orders is not None else n
+    _require("--orders", high, -n)
     rng = random.Random(args.seed)
     checks = []
     samples = []
@@ -399,7 +410,7 @@ def cmd_subdivide_check(args) -> dict:
                 continue
             break
         coeffs = {
-            str(m): format_rational(res.rational_coefficient(m)) for m in range(-n, high + 1)
+            str(m): format_rational(res.coefficient(m)) for m in range(-n, high + 1)
         }
         samples.append({"v": list(v), "residual": coeffs})
         checks.append(

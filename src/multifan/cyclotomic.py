@@ -1,12 +1,12 @@
-"""Exact arithmetic in cyclotomic fields and truncated Laurent series.
+"""Truncated Laurent series, Todd factors and cyclotomic numbers.
 
-Numbers live in Q(zeta_N) represented canonically as polynomials in
-zeta_N of degree < phi(N), reduced modulo the N-th cyclotomic
-polynomial.  Conductors are promoted automatically (N | M embeds via
-zeta_N = zeta_M^(M/N)).  Laurent series carry an explicit validity
-window: coefficients are exact up to the window top and identically
-zero below the window bottom.  The twisted Todd factors
-1/(1 - chi e^(-c t)) are closed-form sums of Bernoulli values.
+Laurent series carry an explicit validity window: coefficients are
+exact up to the window top and identically zero below the window
+bottom.  Every series the package builds is rational.  The twisted Todd
+factors 1/(1 - chi e^(-c t)), chi a root of unity, are closed-form
+Bernoulli sums in Q(zeta_N); they and the cyclotomic numbers, kept
+canonically mod the N-th cyclotomic polynomial, are the reference the
+tests check the rational kernel against.
 """
 
 from __future__ import annotations
@@ -254,9 +254,7 @@ def common_conductor(phases) -> int:
 
 
 # ---------------------------------------------------------------------------
-# truncated Laurent series over the cyclotomic numbers
-
-_ZERO = CyclotomicNumber.from_rational(0)
+# truncated Laurent series
 
 
 class LaurentSeries:
@@ -264,13 +262,14 @@ class LaurentSeries:
 
     Coefficients below `low` are identically zero; coefficients above
     `high` are unknown (requesting them raises SeriesWindowError).
-    Multiplication propagates the window soundly.
+    Multiplication propagates the window soundly.  Coefficients are kept
+    as given: rationals, or cyclotomic numbers in twisted Todd factors.
     """
 
     __slots__ = ("low", "coeffs")
 
     def __init__(self, low: int, coeffs):
-        cs = [CyclotomicNumber.coerce(c) for c in coeffs]
+        cs = list(coeffs)
         if not cs:
             raise ValueError("series needs at least one coefficient slot")
         self.low = low
@@ -280,37 +279,21 @@ class LaurentSeries:
     def high(self) -> int:
         return self.low + len(self.coeffs) - 1
 
-    @staticmethod
-    def zero(low: int, high: int) -> "LaurentSeries":
-        return LaurentSeries(low, [_ZERO] * (high - low + 1))
-
-    @staticmethod
-    def constant(value, high: int) -> "LaurentSeries":
-        s = LaurentSeries.zero(0, high)
-        s.coeffs[0] = CyclotomicNumber.coerce(value)
-        return s
-
-    def coefficient(self, k: int) -> CyclotomicNumber:
+    def coefficient(self, k: int):
         if k > self.high:
             raise SeriesWindowError(f"t^{k} beyond window top t^{self.high}")
         if k < self.low:
-            return _ZERO
+            return _FRACTION_ZERO
         return self.coeffs[k - self.low]
-
-    def rational_coefficient(self, k: int) -> Fraction:
-        return self.coefficient(k).rational()
 
     def __add__(self, other):
         low = min(self.low, other.low)
         high = min(self.high, other.high)
         if high < low:
             raise SeriesWindowError("windows do not overlap")
-        out = []
-        for k in range(low, high + 1):
-            a = self.coeffs[k - self.low] if self.low <= k <= self.high else _ZERO
-            b = other.coeffs[k - other.low] if other.low <= k <= other.high else _ZERO
-            out.append(a + b)
-        return LaurentSeries(low, out)
+        return LaurentSeries(low, [
+            self.coefficient(k) + other.coefficient(k) for k in range(low, high + 1)
+        ])
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -318,28 +301,24 @@ class LaurentSeries:
     def __mul__(self, other):
         low = self.low + other.low
         high = min(self.low + other.high, other.low + self.high)
-        out = [_ZERO] * (high - low + 1)
+        out = [_FRACTION_ZERO] * (high - low + 1)
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+            if not a:
                 continue
             pa = self.low + i
             for j, b in enumerate(other.coeffs):
                 p = pa + other.low + j
                 if p > high:
                     break
-                if not b.is_zero():
+                if b:
                     out[p - low] = out[p - low] + a * b
         return LaurentSeries(low, out)
 
     def scale(self, c) -> "LaurentSeries":
-        c = CyclotomicNumber.coerce(c)
         return LaurentSeries(self.low, [c * x for x in self.coeffs])
 
     def is_zero_on(self, lo: int, hi: int) -> bool:
-        return all(self.coefficient(k).is_zero() for k in range(lo, hi + 1))
-
-    def nonzero_items(self):
-        return [(self.low + i, c) for i, c in enumerate(self.coeffs) if not c.is_zero()]
+        return not any(self.coefficient(k) for k in range(lo, hi + 1))
 
     def __repr__(self):
         return f"LaurentSeries(low={self.low}, high={self.high})"

@@ -7,8 +7,9 @@ u_i^I for i in I and to zero otherwise; the push-forward to a point is
 computed by the fixed-point sum after substituting u -> t<u, v> for a
 generic vector v.  The sums over pairs (I, h) of a cone and an element
 of its group behind the Todd genus, the lattice point counts and the
-face weights share one kernel, `fixed_point_series`.  It never visits
-the group: averaging the characters over it leaves a rational sum over
+face weights share one kernel, `fixed_point_series`, which
+`vertex_series` sums over top cones.  The kernel never visits the
+group: averaging the characters over it leaves a rational sum over
 the lattice points of the fundamental parallelepiped of the vertex cone
 (Brion).  Those points are the elements of the group of the dual cone,
 enumerated from its Smith form as LattE does, so the kernel's cost grows
@@ -299,7 +300,7 @@ def fixed_point_series(
         edges = [[int(x) for x in v] for v in edges]
         x0 = integral_solution([edges[pos] for pos in fixed], [int(phase[pos]) for pos in fixed])
         if x0 is None:
-            return LaurentSeries(-len(twisted), [0] * terms)
+            return LaurentSeries(-len(twisted), [Fraction(0)] * terms)
         for pos in twisted:
             shift[pos] += dot(x0, edges[pos])
     group = quotient_group([[int(x * m[pos]) for x in duals[pos]] for pos in twisted])
@@ -323,7 +324,7 @@ def fixed_point_series(
     for pos in twisted:
         x = m[pos] * weight[pos]
         series = todd_factor_series(x, 0, terms)
-        factor = [series.rational_coefficient(j - 1) * x for j in range(terms)]
+        factor = [series.coefficient(j - 1) * x for j in range(terms)]
         den = lcm(*(f.denominator for f in factor))
         factor = [int(f * den) for f in factor]
         poly = [sum(poly[i] * factor[j - i] for i in range(j + 1)) for j in range(terms)]
@@ -333,6 +334,47 @@ def fixed_point_series(
         Fraction(x * scale ** max(0, -k), denominator * scale ** max(0, k))
         for k, x in enumerate(poly, -len(twisted))
     ])
+
+
+def vertex_series(
+    fan: MultiFan, v, terms: int, face=(), support: SupportClass | None = None, phased=False
+) -> LaurentSeries:
+    """Sum over the top cones I containing `face` of w(I) times the kernel.
+
+    The kernel of I twists the edges outside the face, with a = <u_I, v>
+    for the vertex u_I of the support (0 without one) and, if `phased`,
+    the phase -d_I of the support values on I, which must be integers.
+    The sum has `terms` coefficients from t^(|face| - n) on.  It is the
+    Todd push-forward for the empty face and no support, and its constant
+    term counts lattice points with a phased support.  Without a phase it
+    is the push-forward of e^xi x_K, K = `face`, times the Todd-type
+    factors, whose integrand per top cone I and group element h is
+
+        exp(t<u_I, v>) * t^|K| prod_{i in K} c_i
+            * prod_{i in I minus K} c_i t / (1 - chi_i(h) e^(-c_i t))
+            / (t^n prod_{i in I} c_i),       c_i = <u_i^I, v>.
+
+    Since |I| = n, the powers of t and the products of the c_i cancel,
+    leaving the kernel of I without its phase.
+    """
+    face = set(face)
+    coeffs = [Fraction(0)] * terms
+    for I, w in zip(fan.cones, fan.weights):
+        if not face.issubset(I):
+            continue
+        duals = fan.dual_basis_of(I)
+        pairings = generic_pairings(duals, v)
+        twisted = [pos for pos, i in enumerate(I) if i not in face]
+        a, phase = 0, None
+        if support is not None:
+            d = [support.values[i] for i in I]
+            a = sum(x * p for x, p in zip(d, pairings))
+            if phased:
+                phase = [-x for x in d]
+        series = fixed_point_series(pairings, duals, twisted, terms, a, phase)
+        for j, c in enumerate(series.coeffs):
+            coeffs[j] += w * c
+    return LaurentSeries(len(face) - fan.rank, coeffs)
 
 
 def pushforward_eval(
@@ -381,11 +423,9 @@ def sampled_constant_term(fan: MultiFan, series_along, rng: random.Random) -> Fr
     for v in (v1, v2):
         series = series_along(v)
         for k in range(-fan.rank, 0):
-            if series.coefficient(k) != 0:
-                raise PoleResidueNonzero(
-                    f"negative power t^{k} survives along {v}"
-                )
-        values.append(series.rational_coefficient(0))
+            if series.coefficient(k):
+                raise PoleResidueNonzero(f"negative power t^{k} survives along {v}")
+        values.append(series.coefficient(0))
     if values[0] != values[1]:
         raise CrossCheckFailed(f"constant terms {values} along {v1} and {v2} differ")
     return values[0]

@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import mul
 
 # todd_factor_series stays importable: perfbench/test_smoke.py traces it here
-from .cyclotomic import LaurentSeries, todd_factor_series  # noqa
+from .cyclotomic import todd_factor_series  # noqa
 from .errors import (
     BudgetExceeded,
     CrossCheckFailed,
@@ -35,10 +35,9 @@ from .errors import (
 from .facering import (
     SupportClass,
     face_class,
-    fixed_point_series,
-    generic_pairings,
     p_star,
     sampled_constant_term,
+    vertex_series,
 )
 from .fans import MultiFan, is_complete, sample_generic_vector
 from .lattices import dot
@@ -209,29 +208,6 @@ def count_bruteforce(P: MultiPolytope) -> int:
     return total
 
 
-def _vertex_character_sum(P: MultiPolytope, v) -> Fraction:
-    """The (I, h) sum whose rational value is the lattice point count.
-
-    Each top cone I containing the face contributes, for every element
-    h of its quotient group, the vertex phase e^(-2 pi i <d_I, h>) times
-    the constant Laurent coefficient of
-
-        exp(t<u_I, v>) prod_{i in I, i not in face} 1/(1 - chi_i(h) e^(-<u_i^I, v> t)).
-    """
-    fan = P.fan
-    total = Fraction(0)
-    for I in P.top_cones():
-        duals = fan.dual_basis_of(I)
-        pairings = generic_pairings(duals, v)
-        d = [P.support.values[i] for i in I]
-        a = sum(x * p for x, p in zip(d, pairings))
-        twisted = [pos for pos, i in enumerate(I) if i not in P.face]
-        phase = [-x for x in d]
-        series = fixed_point_series(pairings, duals, twisted, fan.rank + 3, a, phase)
-        total += series.rational_coefficient(0) * fan.weight(I)
-    return total
-
-
 def count_formula(P: MultiPolytope, v=None) -> int:
     """Lattice point count as a character sum over the vertices.
 
@@ -245,43 +221,17 @@ def count_formula(P: MultiPolytope, v=None) -> int:
         raise ValueError("character-sum count needs integer support numbers")
     if v is None:
         v = sample_generic_vector(fan, random.Random(0xC0DE))
-    value = _vertex_character_sum(P, v)
+    value = vertex_series(fan, v, fan.rank + 3, P.face, P.support, phased=True).coefficient(0)
     if value.denominator != 1:
         raise CrossCheckFailed(f"character sum {value} is not an integer")
     return int(value)
 
 
-def _face_todd_pushforward(P: MultiPolytope, K, v) -> LaurentSeries:
-    """Push-forward series of e^xi x_K times the Todd-type factors.
-
-    Per top cone I containing K and group element h the integrand is
-
-        exp(t<u_I, v>) * t^|K| prod_{i in K} c_i
-            * prod_{i in I minus K} c_i t / (1 - chi_i(h) e^(-c_i t))
-            / (t^n prod_{i in I} c_i),       c_i = <u_i^I, v>.
-
-    Since |I| = n, the powers of t and the products of the c_i cancel,
-    leaving exp(t<u_I, v>) prod_{i in I minus K} 1/(1 - chi_i(h) e^(-c_i t)):
-    the vertex character sum of the face without its phase.  Returned
-    on the window [-n, 0]; all negative powers cancel over a complete
-    multi-fan and the constant term is the face count.
-    """
-    fan = P.fan
-    total = LaurentSeries.zero(-fan.rank, 0)
-    for I in fan.cones_containing(K):
-        duals = fan.dual_basis_of(I)
-        pairings = generic_pairings(duals, v)
-        a = sum(P.support.values[i] * p for i, p in zip(I, pairings))
-        twisted = [pos for pos, i in enumerate(I) if i not in K]
-        series = fixed_point_series(pairings, duals, twisted, fan.rank + 3, a)
-        total = total + series.scale(fan.weight(I))
-    return total
-
-
 def _count_face_pushforward(P: MultiPolytope, K) -> int:
     """Face count through the push-forward route, sampled twice."""
+    fan = P.fan
     value = sampled_constant_term(
-        P.fan, lambda v: _face_todd_pushforward(P, K, v), random.Random(0xFACE)
+        fan, lambda v: vertex_series(fan, v, fan.rank + 3, K, P.support), random.Random(0xFACE)
     )
     if value.denominator != 1:
         raise CrossCheckFailed(f"push-forward face count {value} is not an integer")

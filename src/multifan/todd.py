@@ -48,6 +48,7 @@ from .facering import (
     generic_pairings,
     p_star,
     restrict_eval,
+    vertex_series,
 )
 from .fans import MultiFan, is_complete, sample_generic_vector
 from .lattices import (
@@ -311,7 +312,7 @@ def todd_face_coefficient(fan: MultiFan, J, plane: GenericPlane | None = None) -
     values = []
     for cs in ([pairs[j] for j in J], [dot(duals[j], line) for j in J]):
         series = fixed_point_series(cs, face_duals, range(len(J)), fan.rank + 3)
-        values.append(series.rational_coefficient(0))
+        values.append(series.coefficient(0))
     if values[0] != values[1]:
         raise CrossCheckFailed(f"mu_k({J}): wedge {values[0]} != line {values[1]}")
     return values[0]
@@ -333,16 +334,10 @@ def todd_pushforward(fan: MultiFan, v, high: int | None = None) -> LaurentSeries
     n = fan.rank
     if high is None:
         high = n
-    total = LaurentSeries.zero(-n, high)
-    for I, w in zip(fan.cones, fan.weights):
-        duals = fan.dual_basis_of(I)
-        series = fixed_point_series(generic_pairings(duals, v), duals, range(n), high + n + 1)
-        total = total + series.scale(w)
-    for m in range(-n, high + 1):
-        if m != 0 and total.coefficient(m) != 0:
-            value = total.coefficient(m)
-            shown = value.rational() if value.is_rational() else value
-            raise RigidityViolation(f"nonzero coefficient {shown} at t^{m}")
+    total = vertex_series(fan, v, high + n + 1)
+    for m, c in enumerate(total.coeffs, -n):
+        if m and c:
+            raise RigidityViolation(f"nonzero coefficient {c} at t^{m}")
     return total
 
 
@@ -350,7 +345,7 @@ def todd_genus(fan: MultiFan, rng: random.Random | None = None) -> Fraction:
     """Constant term of the Todd push-forward (the degree of the fan)."""
     rng = rng or random.Random(0x7D4)
     v = sample_generic_vector(fan, rng)
-    return todd_pushforward(fan, v).coefficient(0).rational()
+    return todd_pushforward(fan, v).coefficient(0)
 
 
 def ehrhart_coefficients(fan: MultiFan, support) -> tuple[Fraction, ...]:
@@ -378,7 +373,7 @@ def ehrhart_coefficients(fan: MultiFan, support) -> tuple[Fraction, ...]:
         series = fixed_point_series(generic_pairings(duals, v), duals, range(n), n + 3)
         pw = Fraction(w)
         for j in range(n + 1):
-            poly[j] += series.rational_coefficient(-j) * pw
+            poly[j] += series.coefficient(-j) * pw
             pw = pw * a / (j + 1)
     return tuple(poly[n - k] for k in range(n + 1))
 

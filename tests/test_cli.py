@@ -237,6 +237,28 @@ def test_subdivide_check_inline_and_noop(capsys):
     assert report["results"]["children"] == [report["results"]["parent"]]
 
 
+def test_subdivide_check_echoes_the_samples_and_the_lowest_order(capsys):
+    argv = ["subdivide-check", "1,0;0,1", "--ray", "2,1", "--samples", "2", "--orders", "-2"]
+    report = _report(capsys, argv)
+    assert report["arguments"]["samples"] == 2
+    assert [s["residual"] for s in report["results"]["samples"]] == [{"-2": 0}] * 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["morelli", "<square>", "--k", "1", "--planes", "0"], "--planes must be at least 1"),
+    (["subdivide-check", "1,0;0,1", "--samples", "0"], "--samples must be at least 1"),
+    (["subdivide-check", "1,0;0,1", "--samples", "-3"], "--samples must be at least 1"),
+    (["ehrhart", "<square>", "unit", "--nu-check", "-1"], "--nu-check must be at least 0"),
+    (["subdivide-check", "1,0;0,1", "--orders", "-3"], "--orders must be at least -2"),
+], ids=["planes", "samples-zero", "samples-negative", "nu-check", "orders"])
+def test_count_flags_below_their_bounds_are_refused(capsys, square, argv, message):
+    # a count that leaves a report without checks would read "ok": true, and
+    # the residual window of a rank-2 cone starts at t^-2
+    code, out, err = _run(capsys, [square if a == "<square>" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_subdivide_check_rejects_outside_rays(capsys):
     code, _, err = _run(capsys, ["subdivide-check", "1,0;0,1", "--ray=-1,2"])
     assert code == 2

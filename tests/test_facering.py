@@ -13,6 +13,7 @@ from multifan.catalog import (
     weighted_p112_fan,
 )
 from multifan.cyclotomic import (
+    CyclotomicNumber,
     LaurentSeries,
     common_conductor,
     euler_phi,
@@ -257,7 +258,8 @@ def _galois_series(pairings, group, twisted, terms, a=0, phase=None):
                 term = term.scale(root_of_unity(e))
         orbit = LaurentSeries(
             term.low,
-            [x.trace() * Fraction(len(units), euler_phi(x.conductor)) for x in term.coeffs],
+            [x.trace() * Fraction(len(units), euler_phi(x.conductor))
+             for x in map(CyclotomicNumber.coerce, term.coeffs)],
         )
         total = orbit if total is None else total + orbit
     return total
@@ -269,7 +271,7 @@ def _assert_kernel_matches_the_oracles(pairings, duals, group, twisted, terms, a
         slow = oracle(pairings, group, twisted, terms, a, phase)
         assert (fast.low, fast.high) == (slow.low, slow.high)
         for k in range(slow.low, slow.high + 1):
-            assert fast.coefficient(k).conductor == 1
+            assert type(fast.coefficient(k)) is Fraction
             assert fast.coefficient(k) == slow.coefficient(k) * Fraction(1, group.order), (
                 oracle.__name__, twisted, phase, k
             )

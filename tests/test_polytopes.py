@@ -22,7 +22,7 @@ from multifan.errors import (
     RankMismatch,
 )
 from multifan.facering import SupportClass
-from multifan.fans import MultiFan, random_complete_fan, sample_generic_vector
+from multifan.fans import MultiFan, fan_degree, random_complete_fan, sample_generic_vector
 from multifan.lattices import dot
 from multifan.polytopes import (
     BRUTE_FORCE_BUDGET,
@@ -33,6 +33,7 @@ from multifan.polytopes import (
     dh_evaluate,
     volume,
 )
+from multifan.todd import todd_genus
 
 
 def _unit_supports(fan):
@@ -275,6 +276,8 @@ def test_count_routes_agree_on_random_weighted_fans():
         assert count_formula(P) == count_bruteforce(P), (fan, P)
         face_brute = count_bruteforce(MultiPolytope(fan, P.support, face))
         assert count_face(P, face) == face_brute, (fan, P, face)
+        # Todd rigidity: the constant of the push-forward is the degree
+        assert todd_genus(fan) == fan_degree(fan), fan
         ranks.add(fan.rank)
         weights.add(fan.weights[0])
         fractional += _has_fractional_vertex_on_a_large_cone(P)

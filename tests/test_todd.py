@@ -12,7 +12,7 @@ from multifan.catalog import (
     weighted_p112_fan,
     with_doubled_multipliers,
 )
-from multifan.cyclotomic import todd_factor_series
+from multifan.cyclotomic import CyclotomicNumber, todd_factor_series
 from multifan.errors import (
     InvalidFan,
     NonGenericPlane,
@@ -402,7 +402,7 @@ def test_rigidity_on_random_complete_fans():
         fan = random_complete_fan(seed, 2, steps=3)
         v = sample_generic_vector(fan, random.Random(seed + 100))
         series = todd_pushforward(fan, v)
-        assert series.coefficient(0).rational() == todd_genus(fan)
+        assert series.coefficient(0) == todd_genus(fan)
 
 
 def _weighted_plane(d):
@@ -486,3 +486,23 @@ def test_fixed_point_sums_build_no_cone_group(monkeypatch):
     assert count_face(MultiPolytope(fan, [0, 0, 97]), (0,)) == 2
     plane = sample_generic_plane(fan, 1)
     assert todd_face_coefficient(fan, (2,), plane) == Fraction(1, 2)
+
+
+def test_runtime_paths_build_no_cyclotomic_number(monkeypatch):
+    # every series on the runtime path holds rationals; Q(zeta_N) is only
+    # the tests' reference, also on an index-97 cone
+    def refuse(*args):
+        raise AssertionError("a cyclotomic number was built")
+
+    monkeypatch.setattr(CyclotomicNumber, "__init__", refuse)
+    fan = _weighted_plane(97)
+    P = MultiPolytope(fan, [0, 0, 97])
+    assert todd_genus(fan) == 1
+    assert ehrhart_coefficients(fan, [0, 0, 97]) == (Fraction(97, 2), Fraction(99, 2), 1)
+    assert count_formula(MultiPolytope(fan, [0, 1, 0])) == 99
+    assert count_face(P, (0,)) == 2
+    assert todd_face_coefficient(fan, (2,), sample_generic_plane(fan, 1)) == Fraction(1, 2)
+    assert volume(P) == Fraction(97, 2) and volume(P, (2,)) == 1
+    parent = [(1, 0), (-1, -97)]
+    children = [[(1, 0), (0, -1)], [(0, -1), (-1, -97)]]
+    assert subdivision_residual(parent, children, (5, 3)).is_zero_on(-2, 2)
