@@ -337,17 +337,18 @@ def fixed_point_series(
 
 
 def vertex_series(
-    fan: MultiFan, v, terms: int, face=(), support: SupportClass | None = None, phased=False
+    fan: MultiFan, v, terms: int, face=(), support: SupportClass | None = None
 ) -> LaurentSeries:
     """Sum over the top cones I containing `face` of w(I) times the kernel.
 
     The kernel of I twists the edges outside the face, with a = <u_I, v>
-    for the vertex u_I of the support (0 without one) and, if `phased`,
-    the phase -d_I of the support values on I, which must be integers.
-    The sum has `terms` coefficients from t^(|face| - n) on.  It is the
-    Todd push-forward for the empty face and no support, and its constant
-    term counts lattice points with a phased support.  Without a phase it
-    is the push-forward of e^xi x_K, K = `face`, times the Todd-type
+    and phase -d_I for the vertex u_I and the integral values d_I of the
+    support (a = 0 and no phase without one).  The sum has `terms`
+    coefficients from t^(|face| - n) on: the Todd push-forward for the
+    empty face and no support, and lattice point counts in its constant
+    term.  A T-Cartier support puts every u_I in M, so its phase only
+    shifts the admissible exponents by a lattice vector: the sum is then
+    also the push-forward of e^xi x_K, K = `face`, times the Todd-type
     factors, whose integrand per top cone I and group element h is
 
         exp(t<u_I, v>) * t^|K| prod_{i in K} c_i
@@ -355,13 +356,10 @@ def vertex_series(
             / (t^n prod_{i in I} c_i),       c_i = <u_i^I, v>.
 
     Since |I| = n, the powers of t and the products of the c_i cancel,
-    leaving the kernel of I without its phase.
+    leaving the kernel of I with its trivial phase.
     """
-    face = set(face)
     coeffs = [Fraction(0)] * terms
-    for I, w in zip(fan.cones, fan.weights):
-        if not face.issubset(I):
-            continue
+    for I in fan.cones_containing(face):
         duals = fan.dual_basis_of(I)
         pairings = generic_pairings(duals, v)
         twisted = [pos for pos, i in enumerate(I) if i not in face]
@@ -369,9 +367,9 @@ def vertex_series(
         if support is not None:
             d = [support.values[i] for i in I]
             a = sum(x * p for x, p in zip(d, pairings))
-            if phased:
-                phase = [-x for x in d]
+            phase = [-x for x in d]
         series = fixed_point_series(pairings, duals, twisted, terms, a, phase)
+        w = fan.weight(I)
         for j, c in enumerate(series.coeffs):
             coeffs[j] += w * c
     return LaurentSeries(len(face) - fan.rank, coeffs)
@@ -424,7 +422,9 @@ def sampled_constant_term(fan: MultiFan, series_along, rng: random.Random) -> Fr
         series = series_along(v)
         for k in range(-fan.rank, 0):
             if series.coefficient(k):
-                raise PoleResidueNonzero(f"negative power t^{k} survives along {v}")
+                raise PoleResidueNonzero(
+                    f"negative power t^{k} survives along {v}"
+                )
         values.append(series.coefficient(0))
     if values[0] != values[1]:
         raise CrossCheckFailed(f"constant terms {values} along {v1} and {v2} differ")

@@ -221,7 +221,7 @@ def count_formula(P: MultiPolytope, v=None) -> int:
         raise ValueError("character-sum count needs integer support numbers")
     if v is None:
         v = sample_generic_vector(fan, random.Random(0xC0DE))
-    value = vertex_series(fan, v, fan.rank + 3, P.face, P.support, phased=True).coefficient(0)
+    value = vertex_series(fan, v, fan.rank + 3, P.face, P.support).coefficient(0)
     if value.denominator != 1:
         raise CrossCheckFailed(f"character sum {value} is not an integer")
     return int(value)
