@@ -14,7 +14,9 @@ the lattice points of the fundamental parallelepiped of the vertex cone
 (Brion).  Those points are the elements of the group of the dual cone,
 enumerated from its Smith form as LattE does, so the kernel's cost grows
 with their number, prod m_i / |H| for the orders m_i of the dual
-covectors, and every sum it returns is rational.
+covectors, and every sum it returns is rational.  `p_star` samples its
+two generic vectors once per (fan, support) for the default seed and
+keeps each top cone's data along them, so a call only evaluates a class.
 """
 
 from __future__ import annotations
@@ -220,20 +222,28 @@ def restrict_eval(fan: MultiFan, cls: EquivariantClass, I, v) -> list[Fraction]:
     Entry k is the coefficient of t^k after substituting u -> t<u, v>.
     """
     I = tuple(sorted(I))
-    duals = dict(zip(I, fan.dual_basis_of(I)))
+    used = {i for expo in cls.terms for i, e in enumerate(expo) if e}
+    return graded_values(
+        cls, {i: dot(u, v) for i, u in zip(I, fan.dual_basis_of(I)) if i in used}
+    )
+
+
+def graded_values(cls: EquivariantClass, pairings) -> list[Fraction]:
+    """Graded values of cls on a cone whose covectors pair to pairings[i].
+
+    `pairings` maps the rays i of the cone to <u_i, v>; a monomial with a
+    ray off the cone restricts to zero.
+    """
     top = max((sum(e) for e in cls.terms), default=0)
     out = [Fraction(0)] * (top + 1)
     for expo, coeff in cls.terms.items():
         val = coeff
-        ok = True
         for i, e in enumerate(expo):
-            if not e:
-                continue
-            if i not in duals:
-                ok = False
-                break
-            val *= dot(duals[i], v) ** e
-        if ok:
+            if e:
+                if i not in pairings:
+                    break
+                val *= pairings[i] ** e
+        else:
             out[sum(expo)] += val
     return out
 
@@ -375,6 +385,26 @@ def vertex_series(
     return LaurentSeries(len(face) - fan.rank, coeffs)
 
 
+def pushforward_rows(fan: MultiFan, v, support: SupportClass | None, terms: int) -> list:
+    """The fixed-point data along v of the top cones I, one row each.
+
+    A row holds the pairings c_i = <u_i^I, v> by ray i, the scale
+    w(I)/|H_I| / prod c_i and the coefficients a^m/m! of exp(at) for
+    m < terms, where a = <u_I, v> = sum d_i c_i for the vertex u_I of the
+    support (a = 0 without one).
+    """
+    rows = []
+    for I, w in zip(fan.cones, fan.weights):
+        pairings = generic_pairings(fan.dual_basis_of(I), v)
+        scale = Fraction(w, fan.group_of(I).order) / prod(pairings)
+        a = Fraction(0)
+        if support is not None:
+            a = sum(support.values[i] * c for i, c in zip(I, pairings))
+        expf = [a ** m / factorial(m) for m in range(terms)]
+        rows.append((dict(zip(I, pairings)), scale, expf))
+    return rows
+
+
 def pushforward_eval(
     fan: MultiFan,
     cls: EquivariantClass,
@@ -392,31 +422,38 @@ def pushforward_eval(
     whose coefficient of t^m is the rational number, with a = <u_I, v>,
     w(I)/|H_I| / prod <u_i^I, v> * sum_k cls|_I(v)_k a^(m+n-k)/(m+n-k)!.
     """
-    n = fan.rank
-    terms = high + n + 1
+    return _pushforward(fan, cls, pushforward_rows(fan, v, support, high + fan.rank + 1))
+
+
+def _pushforward(fan: MultiFan, cls: EquivariantClass, rows) -> LaurentSeries:
+    """The series of pushforward_eval, read off the rows of pushforward_rows."""
+    terms = len(rows[0][2])
     coeffs = [Fraction(0)] * terms
-    for I, w in zip(fan.cones, fan.weights):
-        pairings = generic_pairings(fan.dual_basis_of(I), v)
-        scale = Fraction(w, fan.group_of(I).order) / prod(pairings)
-        a = dot(support.restrict(fan, I), v) if support is not None else Fraction(0)
-        expf = [a ** m / factorial(m) for m in range(terms)]
-        poly = restrict_eval(fan, cls, I, v)
-        for j in range(terms):
-            part = sum(poly[k] * expf[j - k] for k in range(min(j + 1, len(poly))))
-            coeffs[j] += scale * part
-    return LaurentSeries(-n, coeffs)
+    for pairings, scale, expf in rows:
+        for k, value in enumerate(graded_values(cls, pairings)):
+            if value:
+                value *= scale
+                for j in range(k, terms):
+                    coeffs[j] += value * expf[j - k]
+    return LaurentSeries(-fan.rank, coeffs)
 
 
-def sampled_constant_term(fan: MultiFan, series_along, rng: random.Random) -> Fraction:
-    """Constant term of series_along(v) along two sampled generic vectors.
-
-    The two vectors are distinct; along each, every negative power of t
-    down to t^-rank must vanish, and the two constants must agree.
-    """
+def vector_pair(fan: MultiFan, rng: random.Random) -> tuple:
+    """Two distinct generic vectors, sampled in turn from rng."""
     v1 = sample_generic_vector(fan, rng)
     v2 = sample_generic_vector(fan, rng)
     while v2 == v1:
         v2 = sample_generic_vector(fan, rng)
+    return v1, v2
+
+
+def constant_term_along(fan: MultiFan, vectors, series_along) -> Fraction:
+    """Constant term of series_along(v) along the two vectors of a pair.
+
+    Along each, every negative power of t down to t^-rank must vanish,
+    and the two constants must agree.
+    """
+    v1, v2 = vectors
     values = []
     for v in (v1, v2):
         series = series_along(v)
@@ -441,13 +478,17 @@ def p_star(
 
     Evaluated along two independently sampled generic vectors; the two
     values must agree, and all negative powers of t must vanish (they
-    do exactly when the multi-fan is complete).
+    do exactly when the multi-fan is complete).  With the default seed
+    the pair and its pushforward_rows are built once per (fan, support)
+    and kept in the fan's cache, so a call only evaluates the monomials
+    of cls; an explicit rng samples a pair of its own.
     """
-    return sampled_constant_term(
-        fan,
-        lambda v: pushforward_eval(fan, cls, v, support=support, high=0),
-        rng or random.Random(0xF1E1D),
-    )
+    cache = fan._cache.setdefault("pushforward", {}) if rng is None else {}
+    if support not in cache:
+        pair = vector_pair(fan, rng or random.Random(0xF1E1D))
+        cache[support] = {v: pushforward_rows(fan, v, support, fan.rank + 1) for v in pair}
+    rows = cache[support]
+    return constant_term_along(fan, tuple(rows), lambda v: _pushforward(fan, cls, rows[v]))
 
 
 # ---------------------------------------------------------------------------

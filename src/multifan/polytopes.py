@@ -34,9 +34,10 @@ from .errors import (
 )
 from .facering import (
     SupportClass,
+    constant_term_along,
     face_class,
     p_star,
-    sampled_constant_term,
+    vector_pair,
     vertex_series,
 )
 from .fans import MultiFan, is_complete, sample_generic_vector
@@ -230,8 +231,10 @@ def count_formula(P: MultiPolytope, v=None) -> int:
 def _count_face_pushforward(P: MultiPolytope, K) -> int:
     """Face count through the push-forward route, sampled twice."""
     fan = P.fan
-    value = sampled_constant_term(
-        fan, lambda v: vertex_series(fan, v, fan.rank + 3, K, P.support), random.Random(0xFACE)
+    value = constant_term_along(
+        fan,
+        vector_pair(fan, random.Random(0xFACE)),
+        lambda v: vertex_series(fan, v, fan.rank + 3, K, P.support),
     )
     if value.denominator != 1:
         raise CrossCheckFailed(f"push-forward face count {value} is not an integer")

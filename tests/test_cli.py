@@ -102,6 +102,23 @@ def test_ehrhart_quasi_polynomial_fallback(capsys, weighted):
     assert "warning" in report["results"]
 
 
+def test_ehrhart_nu_check_zero_runs_no_brute_force_in_either_mode(capsys, weighted):
+    # [1, 0, 0] on P(1,1,2) has a fractional vertex; its double is integral
+    report = _report(capsys, ["ehrhart", weighted, "corner", "--nu-check", "0"])
+    assert report["results"]["mode"] == "per-dilation-counts"
+    assert [d["count"] for d in report["results"]["dilations"]] == [2, 4, 6]
+    assert report["checks"] == []
+    assert report["arguments"]["nu_check"] == 0
+    report = _report(capsys, ["ehrhart", weighted, "corner", "--nu-check", "2"])
+    assert [d["count"] for d in report["results"]["dilations"]] == [2, 4]
+    assert [c["bruteforce"] for c in report["checks"]] == [2, 4]
+    report = _report(capsys, ["ehrhart", weighted, "2,0,0", "--nu-check", "0"])
+    assert report["results"]["mode"] == "polynomial"
+    assert report["checks"] == []
+    report = _report(capsys, ["ehrhart", weighted, "2,0,0", "--nu-check", "2"])
+    assert [c["counted"] for c in report["checks"]] == [4, 9]
+
+
 def test_count_and_face_count(capsys, square):
     report = _report(capsys, ["count", square, "skew"])
     assert report["results"]["formula"] == 15

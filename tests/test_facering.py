@@ -21,6 +21,7 @@ from multifan.cyclotomic import (
     root_of_unity,
     todd_factor_series,
 )
+from multifan import facering
 from multifan.errors import NonGenericVector, PoleResidueNonzero
 from multifan.facering import (
     CohomologyQuotient,
@@ -35,8 +36,14 @@ from multifan.facering import (
     ray_class,
     restrict_eval,
 )
-from multifan.fans import MultiFan, random_complete_fan
+from multifan.fans import MultiFan, projective_space_fan, random_complete_fan
 from multifan.lattices import dot, dual_basis, quotient_group
+from multifan.todd import (
+    face_decomposition_residual,
+    morelli_coefficient,
+    sample_generic_plane,
+    spanning_classes,
+)
 
 
 def _quadrant():
@@ -121,8 +128,10 @@ def test_p_star_of_one_vanishes_when_complete():
 
 def test_p_star_detects_missing_cones():
     fan = _quadrant()
-    with pytest.raises(PoleResidueNonzero):
-        p_star(fan, EquivariantClass.constant(fan, 1))
+    # the second call reads the cached vector pair and must fail the same way
+    for _ in range(2):
+        with pytest.raises(PoleResidueNonzero):
+            p_star(fan, EquivariantClass.constant(fan, 1))
 
 
 def test_p_star_of_top_face_class():
@@ -141,6 +150,60 @@ def test_p_star_weighted_fan():
         [3, 3, 3],
     )
     assert p_star(fan, face_class(fan, (0, 1))) == 3
+
+
+def test_pushforward_keeps_its_values_off_the_constant_term():
+    # pinned: fractional vertices, mixed degrees, windows past t^0, and the
+    # surviving poles of an incomplete fan
+    fan = weighted_p112_fan()
+    x0, x1, x2 = (ray_class(fan, i) for i in range(3))
+    cls = 1 + x2 + x0 * x2 + x1 * x1
+    s = pushforward_eval(fan, cls, (3, -2), support=SupportClass([1, 0, 0]), high=2)
+    assert s.coeffs == [0, 0, Fraction(13, 4), Fraction(19, 12), Fraction(149, 48)]
+    s = pushforward_eval(fan, x1 * x2, (3, -2), high=1)
+    assert s.coeffs == [0, 0, 1, 0]
+    fan = projective_space_fan(3)
+    x = [ray_class(fan, i) for i in range(4)]
+    s = pushforward_eval(
+        fan, x[0] * x[1] + 2 * x[3] * x[3], (5, -1, 2), support=SupportClass([1, 2, 0, -1]), high=1
+    )
+    assert (s.low, s.coeffs) == (-3, [0, 0, 0, 6, -10])
+    fan = _quadrant()
+    cls = EquivariantClass.constant(fan, 1) + ray_class(fan, 0)
+    s = pushforward_eval(fan, cls, (2, 3), support=SupportClass([1, 2]), high=1)
+    assert s.coeffs == [Fraction(1, 6), Fraction(5, 3), 8, Fraction(224, 9)]
+
+
+def test_p_star_samples_one_vector_pair_per_support(monkeypatch):
+    calls = []
+    sample = facering.sample_generic_vector
+
+    def counted(fan, rng):
+        calls.append(fan)
+        return sample(fan, rng)
+
+    monkeypatch.setattr(facering, "sample_generic_vector", counted)
+    fan = projective_space_fan(3)
+    classes = spanning_classes(fan, 2)
+    faces = fan.faces_of_card(2)
+    unit, skew = SupportClass([1] * 4), SupportClass([2, -1, 0, 3])
+    for p in range(2):
+        plane = sample_generic_plane(fan, 2, random.Random(p))
+        for cls in classes[:10]:
+            mu = {J: morelli_coefficient(fan, cls, J, plane) for J in faces}
+            assert face_decomposition_residual(fan, cls, unit, mu) == 0
+    assert len(calls) == 2
+    assert face_decomposition_residual(fan, cls, skew, mu) == 0
+    assert len(calls) == 4
+
+
+def test_cached_p_star_equals_a_fresh_pair_from_the_default_seed():
+    fan = hirzebruch_fan(2)
+    for support in (SupportClass([1] * fan.n_rays), SupportClass([2, -1, 0, 3])):
+        for J in sorted(tuple(sorted(f)) for f in fan.faces):
+            cls = face_class(fan, J)
+            fresh = p_star(fan, cls, support, rng=random.Random(0xF1E1D))
+            assert p_star(fan, cls, support) == fresh, (support, J)
 
 
 def test_volumes_from_exponential_pushforward():

@@ -21,7 +21,7 @@ from multifan.errors import (
     PointOnWall,
     RankMismatch,
 )
-from multifan.facering import SupportClass
+from multifan.facering import SupportClass, face_class
 from multifan.fans import MultiFan, fan_degree, random_complete_fan, sample_generic_vector
 from multifan.lattices import dot
 from multifan.polytopes import (
@@ -33,7 +33,12 @@ from multifan.polytopes import (
     dh_evaluate,
     volume,
 )
-from multifan.todd import todd_genus
+from multifan.todd import (
+    face_decomposition_residual,
+    morelli_coefficient,
+    sample_generic_plane,
+    todd_genus,
+)
 
 
 def _unit_supports(fan):
@@ -269,7 +274,7 @@ def _has_fractional_vertex_on_a_large_cone(P):
 
 def test_count_routes_agree_on_random_weighted_fans():
     rng = random.Random(0x5EED)
-    ranks, weights, fractional = set(), set(), 0
+    ranks, weights, decomposed, fractional = set(), set(), set(), 0
     for _ in range(40):
         P, face = _draw_weighted_fan(rng, (1, 2, 3, 4))
         fan = P.fan
@@ -278,12 +283,22 @@ def test_count_routes_agree_on_random_weighted_fans():
         assert count_face(P, face) == face_brute, (fan, P, face)
         # Todd rigidity: the constant of the push-forward is the degree
         assert todd_genus(fan) == fan_degree(fan), fan
+        if fan.rank >= 2:
+            # face decomposition of every ray class, through both mu routes
+            plane = sample_generic_plane(fan, 1)
+            rays = fan.faces_of_card(1)
+            for J in rays:
+                cls = face_class(fan, J)
+                mu = {K: morelli_coefficient(fan, cls, K, plane) for K in rays}
+                assert face_decomposition_residual(fan, cls, P.support, mu) == 0, (fan, P, J)
+            decomposed.add(fan.rank)
         ranks.add(fan.rank)
         weights.add(fan.weights[0])
         fractional += _has_fractional_vertex_on_a_large_cone(P)
     # the sweep must reach every rank and weight, and vertex phases that
     # are nontrivial characters of groups of order at least three
     assert ranks == {1, 2, 3, 4} and weights == {1, -1, 2}
+    assert decomposed == {2, 3, 4}
     assert fractional >= 5
 
 
