@@ -369,17 +369,19 @@ def vertex_series(
     leaving the kernel of I with its trivial phase.
     """
     coeffs = [Fraction(0)] * terms
-    for I in fan.cones_containing(face):
+    in_face = set(face)
+    for I, w in zip(fan.cones, fan.weights):
+        if not in_face.issubset(I):
+            continue
         duals = fan.dual_basis_of(I)
         pairings = generic_pairings(duals, v)
-        twisted = [pos for pos, i in enumerate(I) if i not in face]
+        twisted = [pos for pos, i in enumerate(I) if i not in in_face]
         a, phase = 0, None
         if support is not None:
             d = [support.values[i] for i in I]
             a = sum(x * p for x, p in zip(d, pairings))
             phase = [-x for x in d]
         series = fixed_point_series(pairings, duals, twisted, terms, a, phase)
-        w = fan.weight(I)
         for j, c in enumerate(series.coeffs):
             coeffs[j] += w * c
     return LaurentSeries(len(face) - fan.rank, coeffs)

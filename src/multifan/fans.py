@@ -453,12 +453,16 @@ def star_subdivide(fan: MultiFan, I, r) -> MultiFan:
     coords = [dot(u, r) for u in fan.dual_basis_of(I)]
     if any(c <= 0 for c in coords):
         raise RayNotInterior(f"{r} is not strictly inside {I}")
-    w = fan.weight(I)
     new_index = fan.n_rays
     rays = fan.rays + (r,)
     mults = fan.multipliers + (1,)
-    cones = [c for c in fan.cones if c != I]
-    weights = [fan.weight(c) for c in cones]
+    cones, weights = [], []
+    for c, wc in zip(fan.cones, fan.weights):
+        if c == I:
+            w = wc
+        else:
+            cones.append(c)
+            weights.append(wc)
     for drop in I:
         cones.append(tuple(sorted([i for i in I if i != drop] + [new_index])))
         weights.append(w)

@@ -13,17 +13,27 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .errors import NonGenericPlane, RankMismatch, SingularInput
+from .errors import CrossCheckFailed, NonGenericPlane, RankMismatch, SingularInput
 
 Vec = tuple[int, ...]
 QVec = tuple[Fraction, ...]
 
 
 def dot(u, v) -> Fraction:
-    """Pairing sum(u_j * v_j); accepts any mix of int/Fraction entries."""
+    """Pairing sum(u_j * v_j) of int/Fraction vectors, summed over one
+    running denominator into a single Fraction."""
     if len(u) != len(v):
         raise RankMismatch(f"length {len(u)} vs {len(v)}")
-    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
+    num, den = 0, 1
+    for a, b in zip(u, v):
+        n = a.numerator * b.numerator
+        d = a.denominator * b.denominator
+        if d == den:
+            num += n
+        else:
+            num = num * d + n * den
+            den *= d
+    return Fraction(num, den)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -186,27 +196,62 @@ def smith_normal_form(rows) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec
     )
 
 
-def determinant(rows) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    M = [[Fraction(x) for x in r] for r in rows]
+def _integer_rows(rows) -> tuple[list[list[int]], list[int]]:
+    """Each row of a square int/Fraction matrix times the lcm of its
+    denominators: the integer rows and their scale factors."""
+    n = len(rows)
+    out, scales = [], []
+    for r in rows:
+        if len(r) != n:
+            raise RankMismatch("expected a square matrix")
+        s = math.lcm(*(x.denominator for x in r))
+        out.append([x.numerator * (s // x.denominator) for x in r])
+        scales.append(s)
+    return out, scales
+
+
+def _gauss_jordan(M: list[list[int]]) -> int:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968), in place.
+
+    M holds n integer rows of length >= n; the left n x n block A is
+    eliminated and the columns to its right are carried along.  Returns
+    det A.  Each step divides exactly by the previous pivot, and a row
+    swap negates the row it brings up, so no step changes the
+    determinant.  When det A != 0 the left block ends as det A * I and a
+    carried block B ends as det A * A^-1 B: [A | I] becomes [det A * I |
+    adj A].  A singular A returns 0 and leaves M half reduced.
+    """
     n = len(M)
-    if any(len(r) != n for r in M):
-        raise RankMismatch("determinant needs a square matrix")
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if M[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = 1 / M[c][c]
-        for i in range(c + 1, n):
-            if M[i][c]:
-                f = M[i][c] * inv
-                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
-    return det
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if M[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            M[k], M[p] = [-x for x in M[p]], M[k]
+        row = M[k]
+        pivot = row[k]
+        for i in range(n):
+            if i != k:
+                f = M[i][k]
+                M[i] = [(pivot * a - f * b) // prev for a, b in zip(M[i], row)]
+        prev = pivot
+    return prev
+
+
+def _adjugate(A) -> tuple[int, list[list[int]]]:
+    """det A and adj A = det A * A^-1 of a square integer matrix A."""
+    n = len(A)
+    M = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(A)]
+    det = _gauss_jordan(M)
+    return det, [r[n:] for r in M]
+
+
+def determinant(rows) -> Fraction:
+    """Exact determinant of a square int/Fraction matrix: fraction-free
+    integer elimination on the rows scaled to integers."""
+    M, scales = _integer_rows(rows)
+    return Fraction(_gauss_jordan(M), math.prod(scales))
 
 
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
@@ -259,14 +304,16 @@ def kernel_basis(rows, ncols: int | None = None) -> list[QVec]:
 
 
 def matrix_inverse(rows) -> tuple[QVec, ...]:
-    """Exact inverse of a square matrix over Q; raises SingularInput."""
-    n = len(rows)
-    M = [[Fraction(x) for x in r] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, r in enumerate(rows)]
-    R, pivots = rref(M)
-    if pivots != list(range(n)):
+    """Exact inverse of a square int/Fraction matrix; raises SingularInput.
+
+    With the rows scaled to integers, S A = A', the inverse is
+    A^-1 = adj A' S / det A'.
+    """
+    A, scales = _integer_rows(rows)
+    det, adj = _adjugate(A)
+    if not det:
         raise SingularInput("matrix is singular")
-    return tuple(tuple(row[n:]) for row in R)
+    return tuple(tuple(Fraction(x * s, det) for x, s in zip(row, scales)) for row in adj)
 
 
 def dual_basis(vectors) -> tuple[QVec, ...]:
@@ -399,8 +446,11 @@ def quotient_group(vectors) -> FiniteAbelianGroup:
     d = tuple(D[i][i] for i in range(k))
     if any(x == 0 for x in d):
         raise SingularInput("edge vectors are dependent")
-    qinv = matrix_inverse(Q)
-    sat = tuple(tuple(int(x) for x in qinv[i]) for i in range(k))
+    # Q is unimodular, so Q^-1 = det Q * adj Q is an integer matrix
+    det, adj = _adjugate(Q)
+    if det not in (1, -1):
+        raise CrossCheckFailed(f"Smith transform has determinant {det}, not +-1")
+    sat = tuple(tuple(det * x for x in adj[i]) for i in range(k))
     return FiniteAbelianGroup(d, sat, tuple(tuple(P[j][:k]) for j in range(k)))
 
 

@@ -99,11 +99,14 @@ def _cone_patterns(P: MultiPolytope, v) -> list:
     weight is (-1)^flips w(I).  None of this depends on u.
     """
     fan = P.fan
+    in_face = set(P.face)
     patterns = []
-    for I in P.top_cones():
+    for I, w in zip(fan.cones, fan.weights):
+        if not in_face.issubset(I):
+            continue
         mask = want = 0
         for i, dual in zip(I, fan.dual_basis_of(I)):
-            if i in P.face:
+            if i in in_face:
                 continue
             s = dot(dual, v)
             if s == 0:
@@ -111,7 +114,7 @@ def _cone_patterns(P: MultiPolytope, v) -> list:
             mask |= 1 << i
             if s > 0:
                 want |= 1 << i
-        patterns.append((mask, want, (-1) ** want.bit_count() * fan.weight(I)))
+        patterns.append((mask, want, (-1) ** want.bit_count() * w))
     return patterns
 
 

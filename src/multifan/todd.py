@@ -76,7 +76,7 @@ def wedge_coordinates(rows, n: int) -> tuple[Fraction, ...]:
     m = len(rows)
     out = []
     for S in ascending_subsets(n, m):
-        out.append(determinant([[Fraction(r[c]) for c in S] for r in rows]))
+        out.append(determinant([[r[c] for c in S] for r in rows]))
     return tuple(out)
 
 
@@ -476,13 +476,14 @@ def check_subdivision_cover(parent_rays, child_cones) -> None:
     level = [sum(col) for col in zip(*duals)]
 
     def section(cone):
-        rows = []
+        # the simplex of the points r / <level, r>: |det(cone)| / prod <level, r>
+        heights = []
         for r in cone:
             h = dot(level, r)
             if h <= 0:
                 raise InvalidFan(f"edge {r} misses the cross-section of the parent")
-            rows.append(tuple(Fraction(x, 1) / h for x in r))
-        return abs(determinant(rows))
+            heights.append(h)
+        return abs(determinant(cone)) / math.prod(heights)
 
     total = Fraction(0)
     for child in child_cones:

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from multifan.errors import NonGenericPlane, SingularInput
+import multifan.lattices as lattices
+from multifan.errors import CrossCheckFailed, NonGenericPlane, RankMismatch, SingularInput
 from multifan.lattices import (
     annihilator_basis,
     determinant,
@@ -20,6 +21,7 @@ from multifan.lattices import (
     primitive_vector,
     quotient_group,
     rank,
+    rref,
     saturated_dual_basis,
     smith_normal_form,
     solve_in_span,
@@ -317,3 +319,136 @@ def test_quotient_group_enumerates_lazily():
     elements = iter(g)
     assert next(elements) == ((0, 0, 0), (0, 0, 0))
     assert next(elements) == ((0, 0, 1), (0, 0, Fraction(1, 10**6)))
+
+
+def test_quotient_group_rejects_a_non_unimodular_transform(monkeypatch):
+    # the saturation basis is read off Q^-1, which is integral only when
+    # det Q = +-1; a defective transform must not be truncated silently
+    smith = lattices.smith_normal_form
+
+    def doubled(rows):
+        D, P, Q = smith(rows)
+        return D, P, (tuple(2 * x for x in Q[0]),) + Q[1:]
+
+    monkeypatch.setattr(lattices, "smith_normal_form", doubled)
+    with pytest.raises(CrossCheckFailed):
+        quotient_group([(1, 0), (-1, -2)])
+
+
+# -- oracle sweep: integer elimination against Fraction Gauss-Jordan ---------
+
+
+def _reference_determinant(rows):
+    """Gaussian elimination over Fraction, the reference for determinant."""
+    M = [[Fraction(x) for x in r] for r in rows]
+    n = len(M)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if M[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            M[c], M[piv] = M[piv], M[c]
+            det = -det
+        det *= M[c][c]
+        for i in range(c + 1, n):
+            f = M[i][c] / M[c][c]
+            M[i] = [a - f * b for a, b in zip(M[i], M[c])]
+    return det
+
+
+def _reference_inverse(rows):
+    """Gauss-Jordan over Fraction on [A | I], the reference for matrix_inverse."""
+    n = len(rows)
+    R, pivots = rref([list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)])
+    if pivots != list(range(n)):
+        raise SingularInput("matrix is singular")
+    return tuple(tuple(row[n:]) for row in R)
+
+
+def _oracle_matrices(rng, count=200):
+    """Square matrices of size 0-5, integer or rational, one in five singular."""
+    for trial in range(count):
+        n = rng.randint(0, 5)
+        rational = trial % 2
+        A = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rational else rng.randint(-9, 9)
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+        if n >= 2 and trial % 5 == 0:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            A[-1] = [a * x + b * y for x, y in zip(A[0], A[1])]
+        yield tuple(tuple(r) for r in A)
+
+
+def test_integer_elimination_matches_the_fraction_oracle(monkeypatch):
+    def no_rref(rows):
+        raise AssertionError("determinant and matrix_inverse must not call rref")
+
+    monkeypatch.setattr(lattices, "rref", no_rref)
+    singular = 0
+    for A in _oracle_matrices(random.Random(2024)):
+        d = determinant(A)
+        assert type(d) is Fraction
+        assert d == _reference_determinant(A)
+        if d == 0:
+            singular += 1
+            with pytest.raises(SingularInput):
+                matrix_inverse(A)
+            with pytest.raises(SingularInput):
+                dual_basis(A)
+            continue
+        inv = matrix_inverse(A)
+        assert inv == _reference_inverse(A)
+        assert all(type(x) is Fraction for row in inv for x in row)
+        u = dual_basis(A)
+        assert u == tuple(zip(*inv))
+        assert all(type(x) is Fraction for row in u for x in row)
+    assert singular >= 20
+
+
+def test_annihilator_basis_matches_the_fraction_oracle(monkeypatch):
+    rng = random.Random(2025)
+    done = 0
+    while done < 60:
+        n = rng.randint(1, 5)
+        k = rng.randint(1, n)
+        V = _random_matrix(rng, k, n, -6, 6)
+        if rank(V) < k:
+            with pytest.raises(SingularInput):
+                annihilator_basis(V)
+            continue
+        done += 1
+        ours = annihilator_basis(V)
+        with monkeypatch.context() as m:
+            m.setattr(lattices, "determinant", _reference_determinant)
+            m.setattr(lattices, "matrix_inverse", _reference_inverse)
+            assert ours == annihilator_basis(V)
+
+
+@pytest.mark.parametrize("rows", [[(1, 2)], [(1,), (2,)], [(1, 2), (3,)]])
+def test_non_square_input_is_a_rank_mismatch(rows):
+    with pytest.raises(RankMismatch):
+        determinant(rows)
+    with pytest.raises(RankMismatch):
+        matrix_inverse(rows)
+
+
+def test_dot_on_mixed_entries():
+    rng = random.Random(2026)
+
+    def vector(n, rational):
+        return tuple(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rational else rng.randint(-9, 9)
+            for _ in range(n)
+        )
+
+    for trial in range(200):
+        n = rng.randint(0, 5)
+        u, v = vector(n, trial % 3 == 2), vector(n, trial % 3 != 0)
+        got = dot(u, v)
+        assert type(got) is Fraction
+        assert got == sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
+    with pytest.raises(RankMismatch):
+        dot((1, 2), (Fraction(1, 2),))
