@@ -330,13 +330,14 @@ def fixed_point_series(
     poly = [x * (top // factorial(j)) for j, x in enumerate(poly)]
     denominator = top
     # times 1/(1 - e^(-X s)), X = scale m c, per twisted edge: its Todd
-    # series X^-1 sum_j u_j X^j s^(j-1) over the common denominator of u_j X^j
+    # series X^-1 sum_j u_j X^j s^(j-1), the unit coefficients u_j taken
+    # once, as integers over their common denominator
+    unit = todd_factor_series(1, 0, terms).coeffs
+    den = lcm(*(u.denominator for u in unit))
+    unit = [int(u * den) for u in unit]
     for pos in twisted:
         x = m[pos] * weight[pos]
-        series = todd_factor_series(x, 0, terms)
-        factor = [series.coefficient(j - 1) * x for j in range(terms)]
-        den = lcm(*(f.denominator for f in factor))
-        factor = [int(f * den) for f in factor]
+        factor = [u * x**j for j, u in enumerate(unit)]
         poly = [sum(poly[i] * factor[j - i] for i in range(j + 1)) for j in range(terms)]
         denominator *= den * x
     # the coefficient of t^k is the coefficient of s^k over scale^k

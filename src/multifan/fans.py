@@ -6,6 +6,13 @@ and ray vectors may repeat, so the data is strictly more general than a
 fan.  Each ray i carries a primitive vector and a positive edge
 multiplier k_i; the prescribed edge vector is v_i = k_i * (primitive
 ray).
+
+Crossing a facet F of the fan, the degree jumps by b_F, the signed sum
+of the weights of the top cones on F.  A multi-fan is pre-complete when
+its degree is constant, and complete when its projection along every
+facet is pre-complete (Hattori-Masuda, "Theory of multi-fans").  That
+projection has rank 1 and balances exactly when b_F = 0, so a multi-fan
+is complete when every facet jump vanishes.
 """
 
 from __future__ import annotations
@@ -223,7 +230,7 @@ def sample_generic_vector(fan: MultiFan, rng: random.Random) -> Vec:
 
 
 # ---------------------------------------------------------------------------
-# walls, chambers and pre-completeness
+# walls, completeness, chambers and pre-completeness
 
 
 def _oriented(u) -> Vec:
@@ -239,9 +246,10 @@ def _int_dot(u: Vec, v: Vec) -> int:
 def _wall_jumps(fan: MultiFan) -> dict[Vec, dict[tuple[int, ...], int]]:
     """Jumps b_F of the degree across each facet F = I \\ {i}, by wall.
 
-    A wall is keyed by its oriented primitive normal u, (1,) in rank 1.
-    The cone I lies on the side sign<u, v_i> of F, so crossing the wall
-    along u adds w(I) * sign<u, v_i> to b_F.
+    A wall is keyed by its oriented primitive normal u, (1,) in rank 1:
+    the last column of the Smith transform Q of the rays of F, which
+    spans their kernel.  The cone I lies on the side sign<u, v_i> of F,
+    so crossing the wall along u adds w(I) * sign<u, v_i> to b_F.
     """
     normals: dict[tuple[int, ...], Vec] = {(): (1,)}
     walls: dict[Vec, dict[tuple[int, ...], int]] = {}
@@ -249,11 +257,25 @@ def _wall_jumps(fan: MultiFan) -> dict[Vec, dict[tuple[int, ...], int]]:
         for i in I:
             F = tuple(j for j in I if j != i)
             if F not in normals:
-                normals[F] = _oriented(annihilator_basis([fan.rays[j] for j in F]).vectors[0])
+                Q = smith_normal_form([fan.rays[j] for j in F])[2]
+                normals[F] = _oriented([row[-1] for row in Q])
             u = normals[F]
             jumps = walls.setdefault(u, {})
             jumps[F] = jumps.get(F, 0) + (w if _int_dot(u, fan.rays[i]) > 0 else -w)
     return walls
+
+
+def is_complete(fan: MultiFan) -> bool:
+    """Exact completeness test: every facet jump b_F of the degree is 0.
+
+    The projection along a facet F is a rank-1 multi-fan, pre-complete
+    exactly when the weights on its two sides balance, which is b_F = 0.
+    The verdict is cached on the fan.
+    """
+    if "complete" not in fan._cache:
+        walls = _wall_jumps(fan).values()
+        fan._cache["complete"] = not any(b for jumps in walls for b in jumps.values())
+    return fan._cache["complete"]
 
 
 def _constant_degree(fan: MultiFan) -> bool:
@@ -264,7 +286,7 @@ def _constant_degree(fan: MultiFan) -> bool:
     u^perp cap N.  So it is constant iff every jump fan has degree 0 everywhere.
     """
     if fan.rank == 1:
-        return _rank1_balanced(fan)
+        return is_complete(fan)
     for u, jumps in _wall_jumps(fan).items():
         facets = [F for F, b in jumps.items() if b]
         if not facets:
@@ -401,31 +423,6 @@ def project(fan: MultiFan, K) -> ProjectedMultiFan:
             new_weights.append(w)
     quotient = MultiFan(n - k, new_rays, new_cones, new_weights, new_mults)
     return ProjectedMultiFan(fan, K, quotient, proj, ray_map)
-
-
-def _rank1_balanced(fan: MultiFan) -> bool:
-    """The weights on the two sides of the origin agree: its jump is 0."""
-    return _wall_jumps(fan)[(1,)][()] == 0
-
-
-def is_complete(fan: MultiFan) -> bool:
-    """Completeness via pre-completeness of every codimension-1 projection.
-
-    For rank-1 projections pre-completeness is the exact balance of
-    weights on the two sides, so this check is exact in every rank.
-    The verdict is cached on the fan.
-    """
-    if "complete" in fan._cache:
-        return fan._cache["complete"]
-    if fan.rank == 1:
-        out = _rank1_balanced(fan)
-    else:
-        out = all(
-            _rank1_balanced(project(fan, J).fan)
-            for J in fan.faces_of_card(fan.rank - 1)
-        )
-    fan._cache["complete"] = out
-    return out
 
 
 def fan_degree(fan: MultiFan, rng: random.Random | None = None) -> int:

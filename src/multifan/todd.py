@@ -293,10 +293,12 @@ def todd_face_coefficient(fan: MultiFan, J, plane: GenericPlane | None = None) -
 
     The constant Laurent coefficient of the product over j in J of
     1/(1 - chi(u_j^J, h) e^(-c_j t)), averaged over the quotient group
-    of the face.  The scalars c_j can be read from either side of the
-    wedge/line correspondence; both give the same value because the
-    extracted coefficient has homogeneity degree zero.  The empty face
-    has weight 1 and needs no plane.
+    of the face.  The scalars c_j are read twice, from the wedge pairings
+    and from the line of the plane, and both readings go through the same
+    kernel.  Their agreement checks that the value does not depend on the
+    plane (the coefficient has homogeneity degree zero); it is not a
+    second route to the value.  The empty face has weight 1 and needs no
+    plane.
     """
     J = tuple(sorted(int(j) for j in J))
     if not fan.is_face(J):

@@ -1,8 +1,12 @@
 import itertools
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
+from multifan import cli
+from multifan import fans as fans_module
 from multifan.catalog import (
     cross_fan,
     hirzebruch_fan,
@@ -10,6 +14,7 @@ from multifan.catalog import (
     projective_plane_fan,
     projective_space_fan,
     weighted_p112_fan,
+    with_doubled_multipliers,
 )
 from multifan.errors import (
     DependentRays,
@@ -35,6 +40,8 @@ from multifan.fans import (
     star_subdivide,
 )
 from multifan.lattices import dot, kernel_basis, scale_to_integer
+from multifan.polytopes import MultiPolytope
+from multifan.todd import ehrhart_coefficients
 
 
 def _incomplete_quadrant():
@@ -267,6 +274,72 @@ def test_incomplete_rank1_projection():
     fan = MultiFan(1, [(1,), (-1,)], [(0,), (1,)], [1, 2])
     assert not is_complete(fan)
     assert is_complete(line_fan(weight=5))
+
+
+def _complete_by_definition(fan):
+    """The projection along every face of size n - 1 is pre-complete.
+
+    The projections have rank 1, where pre-complete also means that the
+    degree is the same on both sides.
+    """
+    verdicts = []
+    for J in fan.faces_of_card(fan.rank - 1):
+        line = project(fan, J).fan
+        ok = precompleteness(line)[0]
+        assert ok == (degree(line, (1,)) == degree(line, (-1,))), (fan, J)
+        verdicts.append(ok)
+    return all(verdicts)
+
+
+def _perturbed(fan, rng):
+    """One weight doubled, one weight negated, or one cone dropped when
+    every ray is still used (else that weight is doubled)."""
+    k = rng.randrange(len(fan.cones))
+    kind = rng.choice(("double", "negate", "drop"))
+    cones, weights = list(fan.cones), list(fan.weights)
+    if kind == "drop" and {i for c in cones[:k] + cones[k + 1:] for i in c} == set(range(fan.n_rays)):
+        del cones[k], weights[k]
+    else:
+        weights[k] *= -1 if kind == "negate" else 2
+    return MultiFan(fan.rank, fan.rays, cones, weights, fan.multipliers)
+
+
+def test_is_complete_matches_its_definition_on_random_fans():
+    rng = random.Random(0xFACE7)
+    verdicts = {True: 0, False: 0}
+    for _ in range(50):
+        rank = rng.randint(1, 4)
+        steps = {1: 0, 2: rng.randint(0, 6), 3: rng.randint(0, 3), 4: rng.randint(0, 1)}[rank]
+        base = random_complete_fan(rng.randrange(10**6), rank, steps)
+        doubled = with_doubled_multipliers(base)
+        for fan in (base, doubled, _perturbed(base, rng), _perturbed(doubled, rng)):
+            ok = is_complete(fan)
+            assert ok == _complete_by_definition(fan), fan
+            verdicts[ok] += 1
+    assert verdicts[True] >= 50 and verdicts[False] >= 50
+
+
+def test_no_runtime_path_projects(monkeypatch, tmp_path, capsys):
+    # completeness reads the facet jumps; no caller builds a projected fan
+    def refuse(*args):
+        raise AssertionError("a projected fan was built")
+
+    monkeypatch.setattr(fans_module, "project", refuse)
+    assert is_complete(random_complete_fan(5, 3, 2))
+    assert not is_complete(_incomplete_quadrant())
+    MultiPolytope(hirzebruch_fan(2), [1, 1, 1, 1])  # refuses an incomplete fan
+    assert ehrhart_coefficients(projective_plane_fan(), [1, 1, 1]) == (
+        Fraction(9, 2), Fraction(9, 2), 1
+    )
+    for doc, complete in (
+        ({"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+          "cones": [{"rays": [1, 2]}, {"rays": [2, 3]}, {"rays": [1, 3]}]}, True),
+        ({"rank": 1, "rays": [[1]], "cones": [{"rays": [1]}]}, False),
+    ):
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["complete"] is complete
 
 
 def test_fan_degree_of_weighted_fan():

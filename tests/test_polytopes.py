@@ -22,8 +22,14 @@ from multifan.errors import (
     RankMismatch,
 )
 from multifan.facering import SupportClass, face_class
-from multifan.fans import MultiFan, fan_degree, random_complete_fan, sample_generic_vector
-from multifan.lattices import dot
+from multifan.fans import (
+    MultiFan,
+    fan_degree,
+    random_complete_fan,
+    sample_generic_vector,
+    star_subdivide,
+)
+from multifan.lattices import dot, primitive_vector
 from multifan.polytopes import (
     BRUTE_FORCE_BUDGET,
     MultiPolytope,
@@ -272,13 +278,40 @@ def _has_fractional_vertex_on_a_large_cone(P):
     )
 
 
+def _subdivided_at_the_vertex(P, rng):
+    """P over one star subdivision of a top cone I, the new ray r given the
+    support value <u_I, r> so that every new cone keeps the vertex u_I;
+    None when that value is not an integer (or in rank 1, where no ray
+    lies strictly inside a cone but its own)."""
+    fan = P.fan
+    if fan.rank == 1:
+        return None
+    I = rng.choice(fan.cones)
+    coeffs = [rng.randint(1, 3) for _ in I]
+    r = primitive_vector(
+        [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*(fan.rays[i] for i in I))]
+    )
+    d = dot(P.vertices[I], r)
+    if d.denominator != 1:
+        return None
+    return MultiPolytope(star_subdivide(fan, I, r), P.support.values + (d,))
+
+
 def test_count_routes_agree_on_random_weighted_fans():
     rng = random.Random(0x5EED)
-    ranks, weights, decomposed, fractional = set(), set(), set(), 0
+    # a separate stream for the subdivisions keeps the drawn fans fixed
+    subdivide_rng = random.Random(0x5AB)
+    ranks, weights, decomposed, fractional, subdivided = set(), set(), set(), 0, 0
     for _ in range(40):
         P, face = _draw_weighted_fan(rng, (1, 2, 3, 4))
         fan = P.fan
-        assert count_formula(P) == count_bruteforce(P), (fan, P)
+        count = count_formula(P)
+        assert count == count_bruteforce(P), (fan, P)
+        # both counts are unchanged by a subdivision at the vertex
+        Q = _subdivided_at_the_vertex(P, subdivide_rng)
+        if Q is not None:
+            assert count_formula(Q) == count_bruteforce(Q) == count, (fan, P, Q.fan)
+            subdivided += 1
         face_brute = count_bruteforce(MultiPolytope(fan, P.support, face))
         assert count_face(P, face) == face_brute, (fan, P, face)
         # Todd rigidity: the constant of the push-forward is the degree
@@ -300,6 +333,7 @@ def test_count_routes_agree_on_random_weighted_fans():
     assert ranks == {1, 2, 3, 4} and weights == {1, -1, 2}
     assert decomposed == {2, 3, 4}
     assert fractional >= 5
+    assert subdivided >= 20
 
 
 def _reference_dh_evaluate(P: MultiPolytope, u, v=None) -> int:

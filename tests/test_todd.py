@@ -456,8 +456,8 @@ def test_a_cone_with_group_97_squared_is_additive_and_fast():
 
 
 def test_todd_genus_builds_one_term_per_cyclic_subgroup(monkeypatch):
-    # one untwisted Todd factor per edge of each of the three cones: 3 * 2
-    # factors, against 2 + 2 + 97 * 2 summed element by element
+    # the kernel reads the unit Todd coefficients once per top cone: 3
+    # untwisted factors, against 2 + 2 + 97 * 2 summed element by element
     calls = []
 
     def counted(*args):
@@ -467,7 +467,7 @@ def test_todd_genus_builds_one_term_per_cyclic_subgroup(monkeypatch):
     monkeypatch.setattr(facering, "todd_factor_series", counted)
     fan = _weighted_plane(97)
     assert todd_genus(fan) == fan_degree(fan) == 1
-    assert len(calls) == 6
+    assert len(calls) == 3
     assert all(phase == 0 for _, phase, _ in calls)
 
 
