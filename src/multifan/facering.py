@@ -568,12 +568,6 @@ class CohomologyQuotient:
     def dimension(self) -> int:
         return len(self.free)
 
-    def basis_classes(self) -> list[EquivariantClass]:
-        return [
-            EquivariantClass(self.fan, {self.monomials[i]: Fraction(1)})
-            for i in self.free
-        ]
-
     def reduce(self, cls: EquivariantClass) -> tuple[Fraction, ...]:
         """Coset coordinates of cls over the non-pivot monomials."""
         vec = self._vector(cls)

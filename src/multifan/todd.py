@@ -12,9 +12,14 @@ Second, the decomposition machinery: every cohomology class of degree
 mu(x, J) that depend on a generic middle-dimensional plane E.  The
 coefficient is a ratio of wedge pairings against the Pluecker vector
 of E, and equally a ratio of values on the line where E meets the
-cone.  The sampled plane keeps both readings of every face, and each
-coefficient is computed from both and compared.  The residuals of the
-decomposition take the table of coefficients of one class.
+cone.  The sampled plane keeps both readings of every face, and the
+cone pairings of each line once a coefficient first reads them; each
+coefficient is computed from both readings and compared.  The
+residuals of the decomposition take the table of coefficients of one
+class.  Push-forward and cohomology reduction are linear, so a
+residual is the value of the class minus the mu-weighted values of the
+face classes x_J, and those are kept per fan: one push-forward per
+(support, J), one reduction per (k, J).
 
 Third, Todd series of single cones and their additivity under star
 subdivisions, checked coefficient by coefficient on a Laurent window.
@@ -46,8 +51,8 @@ from .facering import (
     face_class,
     fixed_point_series,
     generic_pairings,
+    graded_values,
     p_star,
-    restrict_eval,
     vertex_series,
 )
 from .fans import MultiFan, is_complete, sample_generic_vector
@@ -102,7 +107,10 @@ class GenericPlane:
     before this one was found.  For every face J of size k of the fan it
     was sampled for, `lines[J]` generates E meet span(J) and
     `pairings[J][i]` is the wedge pairing <f^J(x_i), w_E> of ray i
-    (zero off J).
+    (zero off J).  `line_values[J]` is filled when morelli_coefficient
+    first reads J: one entry (I, {i: <u_i^I, line>}, prod_{j in J}
+    <u_j^I, line>) per top cone I containing J, on the stored line
+    lines[J] whatever the sign of the reading that filled it.
     """
 
     k: int
@@ -112,6 +120,7 @@ class GenericPlane:
     rejected: int = 0
     lines: dict = field(default_factory=dict, compare=False)
     pairings: dict = field(default_factory=dict, compare=False)
+    line_values: dict = field(default_factory=dict, compare=False)
 
 
 def face_wedge(fan: MultiFan, J, i: int, omega_sign: int = 1):
@@ -247,11 +256,13 @@ def morelli_coefficient(
     plane and forms prod <f^J(x_i), w_E>^a_i / prod_j <f^J_j, w_E>.
     The line path evaluates the restriction of x on the generator of
     E meet span(J) and divides by the product of the covector values
-    on that generator.  Both read the pairings and the line the plane
-    keeps for J.  Flipping the orientation of omega_J negates every
-    pairing and flipping the generator negates the line; either changes
-    numerator and denominator by the same factor, so the ratio is
-    unchanged.
+    on that generator, on every top cone containing J.  Both read what
+    the plane keeps for J: the wedge pairings, and the cone pairings of
+    the line, taken on its stored generator once and kept in
+    plane.line_values.  Flipping the orientation of omega_J negates every
+    wedge pairing and flipping the generator negates every line pairing;
+    either changes numerator and denominator by the same factor, so the
+    ratio is unchanged.
     """
     J = tuple(sorted(int(j) for j in J))
     k = len(J)
@@ -260,8 +271,6 @@ def morelli_coefficient(
     line, pairs = _face_readings(plane, J)
     if omega_sign < 0:
         pairs = [-x for x in pairs]
-    if line_sign < 0:
-        line = tuple(-x for x in line)
     num_a = Fraction(0)
     for expo, coeff in cls.terms.items():
         val = coeff
@@ -271,15 +280,19 @@ def morelli_coefficient(
         num_a += val
     value = num_a / math.prod(pairs[j] for j in J)
 
+    if J not in plane.line_values:
+        entries = []
+        for I in fan.cones_containing(J):
+            at_line = {i: dot(u, line) for i, u in zip(I, fan.dual_basis_of(I))}
+            entries.append((I, at_line, math.prod(at_line[j] for j in J)))
+        plane.line_values[J] = entries
     num_b = None
     den_b = None
-    for I in fan.cones_containing(J):
-        duals = fan.dual_basis_of(I)
-        d = Fraction(1)
-        for pos, i in enumerate(I):
-            if i in J:
-                d *= dot(duals[pos], line)
-        val = restrict_eval(fan, cls, I, line)[k]
+    for I, at_line, d in plane.line_values[J]:
+        if line_sign < 0:  # the class has degree k, the product k factors
+            at_line = {i: -x for i, x in at_line.items()}
+            d *= (-1) ** k
+        val = graded_values(cls, at_line)[k]
         if num_b is not None and (num_b, den_b) != (val, d):
             raise CrossCheckFailed(f"line values on {J} depend on the cone {I}")
         num_b, den_b = val, d
@@ -384,14 +397,14 @@ def ehrhart_coefficients(fan: MultiFan, support) -> tuple[Fraction, ...]:
 # residuals of the decomposition statements
 
 
-def _decomposition(fan: MultiFan, cls: EquivariantClass, mu) -> EquivariantClass:
-    """D = sum_J mu_J x_J, for a class of degree 1..rank on a complete fan."""
+def _require_decomposable(fan: MultiFan, cls: EquivariantClass) -> int:
+    """The degree k of a class the residuals take: 1..rank, on a complete fan."""
     k = cls.homogeneous_degree()
     if not k or not 1 <= k <= fan.rank:
         raise RankMismatch("class must be homogeneous of degree 1..rank")
     if not is_complete(fan):
         raise InvalidFan("the face decomposition needs a complete multi-fan")
-    return sum((face_class(fan, J) * m for J, m in mu.items()), EquivariantClass.zero(fan))
+    return k
 
 
 def face_decomposition_residual(
@@ -401,12 +414,22 @@ def face_decomposition_residual(
 
     `mu` maps the faces J of size k to the coefficients mu(x, J) read
     off one generic plane.  Exactly zero for every complete multi-fan,
-    homogeneous class and generic plane.
+    homogeneous class and generic plane.  p_* is linear, so the residual
+    is p_*(e^xi x) - sum_J mu_J p_*(e^xi x_J); each p_*(e^xi x_J) is
+    computed once per (fan, support, J), with its own pole and
+    two-vector checks.
     """
     if not isinstance(support, SupportClass):
         support = SupportClass(support)
-    D = _decomposition(fan, cls, mu)
-    return p_star(fan, cls, support=support) - p_star(fan, D, support=support)
+    _require_decomposable(fan, cls)
+    faces = fan._cache.setdefault("face_pushforward", {})
+    residual = p_star(fan, cls, support=support)
+    for J, m in mu.items():
+        if m:
+            if (support, J) not in faces:
+                faces[support, J] = p_star(fan, face_class(fan, J), support=support)
+            residual -= Fraction(m) * faces[support, J]
+    return residual
 
 
 def cohomology_decomposition_residual(
@@ -416,10 +439,21 @@ def cohomology_decomposition_residual(
 
     `mu` is the table of face_decomposition_residual.  Zero for fans of
     varieties whose rational cohomology is generated in degree two (for
-    example smooth projective toric surfaces).
+    example smooth projective toric surfaces).  The reduction is linear,
+    so the coordinates are those of x minus the mu-weighted coordinates
+    of the x_J, each reduced once per (fan, k, J).
     """
-    D = _decomposition(fan, cls, mu)
-    return cohomology_quotient(fan, cls.homogeneous_degree()).reduce(cls - D)
+    k = _require_decomposable(fan, cls)
+    quotient = cohomology_quotient(fan, k)
+    faces = fan._cache.setdefault("face_reduction", {})
+    residual = list(quotient.reduce(cls))
+    for J, m in mu.items():
+        if m:
+            if (k, J) not in faces:
+                faces[k, J] = quotient.reduce(face_class(fan, J))
+            m = Fraction(m)
+            residual = [r - m * c for r, c in zip(residual, faces[k, J])]
+    return tuple(residual)
 
 
 def spanning_classes(fan: MultiFan, k: int) -> list[EquivariantClass]:

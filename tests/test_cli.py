@@ -317,3 +317,49 @@ def test_one_process_prints_what_fresh_processes_print(capsys, square, weighted)
         )
         assert _run(capsys, argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert cli._parser() is cli._parser()
+
+
+_DEMO_SQUARE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "fans", "square.json"
+)
+
+
+@pytest.mark.parametrize("args", [["--k", "1"], ["--k", "2", "--cohomology"]])
+def test_morelli_residuals_build_no_sum_class(capsys, monkeypatch, args):
+    # the residuals are linear functionals on the face classes: no
+    # residual adds classes to form sum_J mu_J x_J
+    from multifan.facering import EquivariantClass
+
+    def refuse(*_):
+        raise AssertionError("a residual added two classes")
+
+    monkeypatch.setattr(EquivariantClass, "__add__", refuse)
+    monkeypatch.setattr(EquivariantClass, "__radd__", refuse)
+    report = _report(capsys, ["morelli", _DEMO_SQUARE, "--planes", "2", *args])
+    assert all(c["ok"] for c in report["checks"])
+
+
+def test_morelli_pushes_each_face_class_forward_once(capsys, monkeypatch):
+    from multifan import todd
+
+    pushed = {}
+    residual_of = []
+    real_p_star, real_residual = todd.p_star, cli.face_decomposition_residual
+
+    def residual(fan, cls, support, mu):
+        residual_of.append(cls)
+        return real_residual(fan, cls, support, mu)
+
+    def counted(fan, cls, support=None, rng=None):
+        if cls is not residual_of[-1]:  # a face class, not the class x itself
+            key = (id(fan), support, frozenset(cls.terms))
+            pushed[key] = pushed.get(key, 0) + 1
+        return real_p_star(fan, cls, support=support, rng=rng)
+
+    monkeypatch.setattr(cli, "face_decomposition_residual", residual)
+    monkeypatch.setattr(todd, "p_star", counted)
+    report = _report(capsys, ["morelli", _DEMO_SQUARE, "--k", "1", "--planes", "3"])
+    assert all(c["ok"] for c in report["checks"])
+    assert len(residual_of) == 3 * len(report["results"]["classes"])
+    assert len(pushed) == len(report["results"]["faces"])
+    assert set(pushed.values()) == {1}

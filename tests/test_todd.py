@@ -26,14 +26,17 @@ from multifan import fans as fans_module
 from multifan.facering import (
     EquivariantClass,
     SupportClass,
+    cohomology_quotient,
     face_class,
     graded_monomials,
+    p_star,
     pushforward_eval,
     ray_class,
 )
 from multifan.fans import (
     MultiFan,
     fan_degree,
+    is_complete,
     projective_space_fan,
     random_complete_fan,
     sample_generic_vector,
@@ -325,6 +328,68 @@ def test_decomposition_residuals_refuse_incomplete_fans():
         face_decomposition_residual(fan, cls, [1], mu)
     with pytest.raises(InvalidFan):
         cohomology_decomposition_residual(fan, cls, mu)
+
+
+def _reference_decomposition(fan, cls, mu):
+    """D = sum_J mu_J x_J, for a class of degree 1..rank on a complete fan."""
+    k = cls.homogeneous_degree()
+    if not k or not 1 <= k <= fan.rank:
+        raise RankMismatch("class must be homogeneous of degree 1..rank")
+    if not is_complete(fan):
+        raise InvalidFan("the face decomposition needs a complete multi-fan")
+    return sum((face_class(fan, J) * m for J, m in mu.items()), EquivariantClass.zero(fan))
+
+
+def test_residuals_match_the_decomposition_class():
+    # oracle: build D = sum_J mu_J x_J and push it forward (or reduce x - D)
+    # as one class.  One mu_J is off by 1, so every residual is nonzero and
+    # a dropped face term or a flipped sign changes it.
+    fans = [
+        projective_plane_fan(),
+        hirzebruch_fan(2),
+        weighted_p112_fan(),
+        projective_space_fan(3),
+        random_complete_fan(0, 3, 1),
+    ]
+    for fan in fans:
+        supports = [
+            SupportClass([1] * fan.n_rays),
+            SupportClass([Fraction(i + 2, 2) for i in range(fan.n_rays)]),
+        ]
+        for k in range(1, fan.rank + 1):
+            E = sample_generic_plane(fan, k, random.Random(90 + k))
+            faces = fan.faces_of_card(k)
+            classes = spanning_classes(fan, k)
+            for cls, J in ((classes[0], faces[0]), (classes[-1], faces[-1])):
+                mu = _mu_table(fan, cls, E)
+                mu[J] += 1
+                D = _reference_decomposition(fan, cls, mu)
+                for xi in supports:
+                    expected = p_star(fan, cls, support=xi) - p_star(fan, D, support=xi)
+                    assert expected != 0
+                    assert face_decomposition_residual(fan, cls, xi, mu) == expected
+                expected = cohomology_quotient(fan, k).reduce(cls - D)
+                assert any(expected)
+                assert cohomology_decomposition_residual(fan, cls, mu) == expected
+
+
+def test_line_readings_do_not_depend_on_the_sign_of_the_first_reading():
+    # a plane keeps the cone pairings of its stored lines: a flipped first
+    # reading must give the values and leave the entries of an unflipped one
+    for make in (projective_plane_fan, weighted_p112_fan):
+        fan = make()
+        for k in (1, 2):
+            flipped_first = sample_generic_plane(fan, k, random.Random(60 + k))
+            plain_first = sample_generic_plane(fan, k, random.Random(60 + k))
+            classes = spanning_classes(fan, k)
+            for J in fan.faces_of_card(k):
+                for cls in classes:
+                    expected = morelli_coefficient(fan, cls, J, plain_first)
+                    for om in (1, -1):
+                        assert morelli_coefficient(
+                            fan, cls, J, flipped_first, omega_sign=om, line_sign=-1
+                        ) == expected
+            assert flipped_first.line_values == plain_first.line_values
 
 
 def test_coefficients_reject_a_plane_of_the_wrong_size():
